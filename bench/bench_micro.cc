@@ -136,6 +136,16 @@ void BM_MessageRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageRoundTrip);
 
+/// Reports items/s plus per_event (wall time per event, printed in ns) for
+/// a loop that pushes and pops `events_per_iteration` messages.
+void ReportPerEvent(benchmark::State& state, int64_t events_per_iteration) {
+  const int64_t events = state.iterations() * events_per_iteration;
+  state.SetItemsProcessed(events);
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 void BM_EventQueue(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(6);
@@ -150,9 +160,42 @@ void BM_EventQueue(benchmark::State& state) {
       benchmark::DoNotOptimize(queue.Pop());
     }
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  ReportPerEvent(state, n);
 }
-BENCHMARK(BM_EventQueue)->Arg(1000);
+BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
+
+// The simulator's join flood in miniature: n join_in messages at t = 0
+// with a join-sized payload, each popped and answered by an assign_id at
+// the same time (queued behind every remaining join), then the acks
+// drained — 2n pushes and 2n pops through a queue n deep.
+void BM_EventQueueJoinFlood(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    EventQueue queue;
+    for (int id = 1; id <= n; ++id) {
+      Message msg;
+      msg.sender = id;
+      msg.msg_type = "join_in";
+      msg.payload.SetDouble("resp_score", 1.0);
+      msg.payload.SetInt("num_train", 64);
+      queue.Push(std::move(msg));
+    }
+    for (int i = 0; i < n; ++i) {
+      const Message join = queue.Pop();
+      Message ack;
+      ack.receiver = join.sender;
+      ack.msg_type = "assign_id";
+      ack.timestamp = join.timestamp;
+      ack.payload.SetInt("assigned_id", join.sender);
+      queue.Push(std::move(ack));
+    }
+    while (!queue.Empty()) {
+      benchmark::DoNotOptimize(queue.Pop());
+    }
+  }
+  ReportPerEvent(state, 2 * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_EventQueueJoinFlood)->Arg(100000);
 
 // Observability overhead: the same event-queue workload with a metrics
 // registry attached. Compare against BM_EventQueue to price the hooks.
@@ -175,7 +218,7 @@ void BM_EventQueueWithObs(benchmark::State& state) {
       benchmark::DoNotOptimize(queue.Pop());
     }
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  ReportPerEvent(state, n);
 }
 BENCHMARK(BM_EventQueueWithObs)->Arg(1000);
 

@@ -116,7 +116,7 @@ void Server::RegisterDefaultHandlers() {
 
 void Server::OnJoinIn(const Message& msg) {
   if (started_) {
-    if (clients_.count(msg.sender) > 0) {
+    if (clients_.Contains(msg.sender)) {
       // Re-join after a server restart (DESIGN.md §10): the sender is
       // already a member. Re-ack its id so its transport adopts the new
       // session epoch; if the snapshot has it mid-training, restart its
@@ -139,16 +139,16 @@ void Server::OnJoinIn(const Message& msg) {
     FS_LOG(Warning) << "client " << msg.sender << " joined after start";
     return;
   }
-  clients_.insert(msg.sender);
-  max_joined_ = std::max(max_joined_, msg.sender);
-  removed_.erase(msg.sender);
-  const int idx = msg.sender - 1;
-  if (idx >= 0) {
-    if (idx >= static_cast<int>(resp_scores_.size())) {
-      resp_scores_.resize(idx + 1, 1.0);
-    }
-    resp_scores_[idx] = msg.payload.GetDouble("resp_score", 1.0);
+  if (msg.sender < 1) {
+    FS_LOG(Warning) << "join_in from invalid client id " << msg.sender;
+    return;
   }
+  clients_.Insert(msg.sender);
+  const int idx = msg.sender - 1;
+  if (idx >= static_cast<int>(resp_scores_.size())) {
+    resp_scores_.resize(idx + 1, 1.0);
+  }
+  resp_scores_[idx] = msg.payload.GetDouble("resp_score", 1.0);
 
   Message ack;
   ack.receiver = msg.sender;
@@ -158,7 +158,7 @@ void Server::OnJoinIn(const Message& msg) {
   Send(std::move(ack));
 
   if (options_.expected_clients > 0 &&
-      static_cast<int>(clients_.size()) >= options_.expected_clients) {
+      clients_.size() >= options_.expected_clients) {
     RaiseEvent(events::kAllJoinedIn, msg);
   }
 }
@@ -179,38 +179,18 @@ void Server::StartTraining(const Message& context) {
 }
 
 std::vector<int> Server::SampleIdle(int k) {
-  // Dense membership: clients_ ∪ removed_ == [1, max_joined_] (disjoint by
-  // construction, so equal sizes imply exact coverage). The idle set is
-  // then the range minus busy minus removed, which the sampler can draw
+  // The idle set is the id range minus the gaps (never joined, failed or
+  // quarantined) minus the in-flight clients, which the sampler can draw
   // from without materializing the population.
-  const bool dense =
-      max_joined_ > 0 &&
-      (clients_.empty() || *clients_.begin() >= 1) &&
-      clients_.size() + removed_.size() == static_cast<size_t>(max_joined_);
-  if (dense) {
-    std::vector<int> excluded;
-    excluded.reserve(busy_.size() + removed_.size());
-    auto busy_it = busy_.begin();
-    auto removed_it = removed_.begin();
-    while (busy_it != busy_.end() || removed_it != removed_.end()) {
-      if (removed_it == removed_.end() ||
-          (busy_it != busy_.end() && busy_it->first < *removed_it)) {
-        excluded.push_back(busy_it->first);
-        ++busy_it;
-      } else {
-        excluded.push_back(*removed_it);
-        ++removed_it;
-      }
-    }
-    return sampler_->SampleIds(CandidateView(max_joined_, std::move(excluded)),
-                               k, &rng_);
-  }
-  std::vector<int> idle;
-  idle.reserve(clients_.size());
-  for (int id : clients_) {
-    if (busy_.count(id) == 0) idle.push_back(id);
-  }
-  return sampler_->Sample(idle, k, &rng_);
+  const std::vector<int> gaps = clients_.Gaps();
+  std::vector<int> busy;
+  busy.reserve(busy_.size());
+  for (const auto& entry : busy_) busy.push_back(entry.first);
+  std::vector<int> excluded(gaps.size() + busy.size());
+  std::merge(gaps.begin(), gaps.end(), busy.begin(), busy.end(),
+             excluded.begin());
+  return sampler_->SampleIds(
+      CandidateView(clients_.bound(), std::move(excluded)), k, &rng_);
 }
 
 void Server::BroadcastModel(const std::vector<int>& client_ids,
@@ -728,9 +708,7 @@ void Server::OnClientFailure(const Message& msg) {
   if (finished_) return;
   const int id = msg.sender;
   FS_LOG(Warning) << "client " << id << " failed; removed from the course";
-  if (clients_.erase(id) > 0 && id >= 1 && id <= max_joined_) {
-    removed_.insert(id);
-  }
+  clients_.Erase(id);
   ++stats_.dropouts;
   const bool record_obs = obs_ != nullptr && obs_->enabled();
   if (record_obs) {
@@ -820,9 +798,7 @@ void Server::HandleRejectedUpdate(const Message& msg,
 }
 
 void Server::QuarantineClient(int id) {
-  if (clients_.erase(id) > 0 && id >= 1 && id <= max_joined_) {
-    removed_.insert(id);
-  }
+  clients_.Erase(id);
   busy_.erase(id);
   stats_.quarantined.push_back(id);
   if (obs_ != nullptr && obs_->enabled()) {
@@ -1062,23 +1038,23 @@ void Server::FinishCourse(const Message& context) {
   if (options_.collect_client_metrics) {
     // Final evaluation round: ask every client for its local metrics
     // before dismissing it (the evaluate/metrics flow of Table 2).
-    for (int id : clients_) {
+    clients_.ForEach([&](int id) {
       Message msg;
       msg.receiver = id;
       msg.msg_type = events::kEvaluate;
       msg.state = round_;
       msg.timestamp = context.timestamp;
       Send(std::move(msg));
-    }
+    });
   }
-  for (int id : clients_) {
+  clients_.ForEach([&](int id) {
     Message msg;
     msg.receiver = id;
     msg.msg_type = events::kFinish;
     msg.state = round_;
     msg.timestamp = context.timestamp;
     Send(std::move(msg));
-  }
+  });
   // Dismiss the edge aggregators too (stops standby watchdog timers).
   for (int shard = 0; shard < options_.topology.num_shards; ++shard) {
     for (int slot = 0; slot <= options_.topology.standbys_per_shard; ++slot) {

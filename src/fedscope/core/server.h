@@ -4,12 +4,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "fedscope/core/aggregator.h"
 #include "fedscope/core/checkpoint.h"
+#include "fedscope/core/client_id_set.h"
 #include "fedscope/core/sampler.h"
 #include "fedscope/core/topology.h"
 #include "fedscope/core/trainer.h"
@@ -193,7 +193,7 @@ class Server : public BaseWorker {
   /// Null unless options().guard.enabled.
   const UpdateGuard* guard() const { return guard_.get(); }
   int round() const { return round_; }
-  int joined_clients() const { return static_cast<int>(clients_.size()); }
+  int joined_clients() const { return clients_.size(); }
   const std::vector<ClientUpdate>& buffer() const { return buffer_; }
 
  private:
@@ -215,8 +215,8 @@ class Server : public BaseWorker {
   /// replacement broadcast in flight; quarantine bounds the recurrence,
   /// so the reset is skipped when quarantine is disabled.
   void RestartStarvationBackstop();
-  /// Exiles a client via the presume-dead machinery (removed_): it leaves
-  /// the sampling pool for the rest of the course.
+  /// Exiles a client via the presume-dead machinery (leaves clients_): it
+  /// leaves the sampling pool for the rest of the course.
   void QuarantineClient(int id);
   /// Hierarchical topologies: a standby took over a shard. Bumps the
   /// shard's epoch, reroutes to the new aggregator, and re-broadcasts the
@@ -287,16 +287,12 @@ class Server : public BaseWorker {
   ConfigProvider config_provider_;
   FeedbackConsumer feedback_consumer_;
 
-  std::set<int> clients_;        // joined client ids
+  /// Joined client ids. Failed and quarantined clients leave it but keep
+  /// its bound(), so SampleIdle draws from [1, bound()] minus the gaps
+  /// minus busy_ through a CandidateView in O(cohort + |busy| + |gaps|)
+  /// instead of enumerating the population (DESIGN.md §13).
+  ClientIdSet clients_;
   std::map<int, int> busy_;      // in-flight clients -> round they work on
-  /// Largest client id ever joined, and the ids removed since (failures).
-  /// When clients_ ∪ removed_ is exactly [1, max_joined_] the idle set is a
-  /// dense range minus a small exclusion list, so SampleIdle can draw
-  /// through a CandidateView in O(cohort + |busy| + |removed_|) instead of
-  /// enumerating the population (DESIGN.md §13). Derived conservatively on
-  /// snapshot restore; both paths consume the rng identically.
-  int max_joined_ = 0;
-  std::set<int> removed_;
   std::vector<double> resp_scores_;  // by client id - 1
   std::vector<ClientUpdate> buffer_;
   /// Hierarchical: client ids covered by the buffered partial at the same

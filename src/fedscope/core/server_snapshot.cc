@@ -15,6 +15,8 @@
 //   stats/...                               full ServerStats
 //   obs/...                                 pending per-round accumulators
 
+#include <limits>
+
 #include "fedscope/core/checkpoint.h"
 #include "fedscope/core/server.h"
 #include "fedscope/util/logging.h"
@@ -51,8 +53,10 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
 
   SetPackedU64s(&p, "rng", rng_.SaveState());
 
-  SetPackedInt64s(&p, "clients",
-                  std::vector<int64_t>(clients_.begin(), clients_.end()));
+  std::vector<int64_t> client_ids;
+  client_ids.reserve(clients_.size());
+  clients_.ForEach([&](int id) { client_ids.push_back(id); });
+  SetPackedInt64s(&p, "clients", client_ids);
   std::vector<int64_t> busy_ids, busy_rounds;
   busy_ids.reserve(busy_.size());
   busy_rounds.reserve(busy_.size());
@@ -98,8 +102,7 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
 
   // Guard keys exist only for guarded courses, keeping guard-off
   // snapshots byte-identical to the pre-guard schema. Quarantined members
-  // need no membership key: they are gaps in `clients`, which restore
-  // already rebuilds into removed_.
+  // need no membership key: they are simply absent from `clients`.
   if (guard_ != nullptr) {
     guard_->SaveState(&p, "guard");
     p.SetInt("stats/updates_rejected", stats_.updates_rejected);
@@ -194,25 +197,16 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
   Status rng_status = rng_.LoadState(GetPackedU64s(p, "rng"));
   if (!rng_status.ok()) return rng_status;
 
-  clients_.clear();
+  // The id range is not part of the schema: the restored bound() is the
+  // largest member, so ids failed or quarantined above it fall outside the
+  // range instead of being gaps in it. Either way they are no candidates,
+  // and SampleIdle draws the same cohort.
+  clients_.Clear();
   for (int64_t id : GetPackedInt64s(p, "clients")) {
-    clients_.insert(static_cast<int>(id));
-  }
-  // Dense-membership bookkeeping is not part of the schema: rebuild it as
-  // "every gap below the largest member was removed". When membership was
-  // in fact sparse this over-marks, but the resulting candidate set —
-  // range minus removed_ minus busy_ — still equals clients_ minus busy_,
-  // and SampleIdle's two paths consume the rng identically either way.
-  max_joined_ = clients_.empty() ? 0 : *clients_.rbegin();
-  removed_.clear();
-  if (max_joined_ > 0 && *clients_.begin() >= 1) {
-    int expect = 1;
-    for (int id : clients_) {
-      for (; expect < id; ++expect) removed_.insert(expect);
-      expect = id + 1;
+    if (id < 1 || id > std::numeric_limits<int>::max()) {
+      return Status::DataLoss("snapshot client id out of range");
     }
-  } else {
-    max_joined_ = 0;  // out-of-range ids: keep the enumeration fallback
+    clients_.Insert(static_cast<int>(id));
   }
   const std::vector<int64_t> busy_ids = GetPackedInt64s(p, "busy/ids");
   const std::vector<int64_t> busy_rounds = GetPackedInt64s(p, "busy/rounds");
@@ -221,6 +215,12 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
   }
   busy_.clear();
   for (size_t i = 0; i < busy_ids.size(); ++i) {
+    // In-flight clients are members; SampleIdle excludes them from the
+    // member range.
+    if (busy_ids[i] < 1 || busy_ids[i] > std::numeric_limits<int>::max() ||
+        !clients_.Contains(static_cast<int>(busy_ids[i]))) {
+      return Status::DataLoss("snapshot busy id is not a member");
+    }
     busy_[static_cast<int>(busy_ids[i])] = static_cast<int>(busy_rounds[i]);
   }
   resp_scores_ = GetPackedDoubles(p, "resp_scores");

@@ -13,7 +13,17 @@ void EventQueue::Push(Message msg) {
     obs_->SetGauge("fs_sim_queue_depth", depth);
     obs_->MaxGauge("fs_sim_queue_depth_peak", depth);
   }
-  heap_.push_back(Entry{msg.timestamp, seq_++, std::move(msg)});
+  const double time = msg.timestamp;
+  size_t slot;
+  if (free_slots_.empty()) {
+    slot = slab_.size();
+    slab_.push_back(std::move(msg));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(msg);
+  }
+  heap_.push_back(Key{time, seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -25,8 +35,10 @@ double EventQueue::PeekTime() const {
 Message EventQueue::Pop() {
   FS_CHECK(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Message msg = std::move(heap_.back().msg);
+  const size_t slot = heap_.back().slot;
   heap_.pop_back();
+  Message msg = std::move(slab_[slot]);
+  free_slots_.push_back(slot);
   if (obs_ != nullptr && obs_->recording_metrics()) {
     obs_->Count("fs_sim_events_dispatched_total", 1.0,
                 {{"type", msg.msg_type}});
@@ -39,17 +51,25 @@ std::vector<const Message*> EventQueue::PeekReadyBatch() const {
   std::vector<const Message*> batch;
   if (heap_.empty()) return batch;
   const double t = heap_.front().time;
-  // Equal-time entries are scattered through the heap array; collect and
-  // order them by push sequence (== pop order). O(n log n) in the queue
-  // size, which stays small relative to one client training task.
-  std::vector<const Entry*> ready;
-  for (const Entry& entry : heap_) {
-    if (entry.time == t) ready.push_back(&entry);
+  // Equal-time keys are scattered through the heap array, but they form a
+  // subtree hanging from the root: a node later than t has only later
+  // descendants, so the walk prunes there and visits at most
+  // 2 * |batch| + 1 nodes. Ordering the ready keys by push sequence (==
+  // pop order) then costs O(batch log batch).
+  std::vector<Key> ready;
+  std::vector<size_t> pending = {0};
+  while (!pending.empty()) {
+    const size_t node = pending.back();
+    pending.pop_back();
+    if (node >= heap_.size() || heap_[node].time != t) continue;
+    ready.push_back(heap_[node]);
+    pending.push_back(2 * node + 1);
+    pending.push_back(2 * node + 2);
   }
   std::sort(ready.begin(), ready.end(),
-            [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
+            [](const Key& a, const Key& b) { return a.seq < b.seq; });
   batch.reserve(ready.size());
-  for (const Entry* entry : ready) batch.push_back(&entry->msg);
+  for (const Key& key : ready) batch.push_back(&slab_[key.slot]);
   return batch;
 }
 

@@ -20,6 +20,11 @@ namespace fedscope {
 /// backend's canonical commit order (DESIGN.md §12) is defined as exactly
 /// this pop order. EventQueueTest.EqualTimestampsPopInInsertionOrder pins
 /// it.
+///
+/// Layout: the binary heap orders trivially copyable {time, seq, slot}
+/// keys; the messages themselves sit still in a slab indexed by slot, with
+/// a free list recycling the slots of popped messages. A sift step thus
+/// moves 24 bytes instead of a whole Message.
 class EventQueue {
  public:
   /// Enqueues a message for delivery at msg.timestamp.
@@ -40,7 +45,8 @@ class EventQueue {
   /// parallel batch: as long as every interleaved Push carries a
   /// timestamp >= the batch time (worker sends always do — BaseWorker
   /// clamps), subsequent Pops return exactly these messages in exactly
-  /// this order.
+  /// this order. O(batch log batch): only the heap's ready region is
+  /// visited.
   std::vector<const Message*> PeekReadyBatch() const;
 
   /// Total number of messages ever pushed (diagnostics).
@@ -52,22 +58,26 @@ class EventQueue {
   void set_obs(const ObsContext* obs) { obs_ = obs; }
 
  private:
-  struct Entry {
+  struct Key {
     double time;
     int64_t seq;
-    Message msg;
+    size_t slot;  // index into slab_
   };
   /// Heap comparator: "a is later than b" — std::*_heap with this keeps
-  /// the earliest (time, seq) entry at the front.
+  /// the earliest (time, seq) key at the front.
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
   /// Binary heap managed with std::push_heap/std::pop_heap (rather than
-  /// std::priority_queue) so PeekReadyBatch can scan the entries.
-  std::vector<Entry> heap_;
+  /// std::priority_queue) so PeekReadyBatch can walk it.
+  std::vector<Key> heap_;
+  /// Pending messages by slot; slots listed in free_slots_ hold moved-from
+  /// messages awaiting reuse.
+  std::vector<Message> slab_;
+  std::vector<size_t> free_slots_;
   int64_t seq_ = 0;
   const ObsContext* obs_ = nullptr;
 };

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "fedscope/core/client.h"
 #include "fedscope/core/events.h"
 #include "fedscope/core/server.h"
@@ -632,6 +636,107 @@ TEST(ServerTest, StalenessOnePastToleranceIsDropped) {
   EXPECT_EQ(server->round(), 2);  // dropped: no aggregation happened
   EXPECT_EQ(server->stats().dropped_stale, 1);
   EXPECT_EQ(server->stats().staleness_log.size(), 2u);
+}
+
+/// Receivers of the model_para broadcasts queued on `channel` (drains it).
+std::vector<int> DrainBroadcastReceivers(QueueChannel* channel) {
+  std::vector<int> receivers;
+  while (!channel->Empty()) {
+    Message m = channel->Pop();
+    if (m.msg_type == events::kModelPara) receivers.push_back(m.receiver);
+  }
+  return receivers;
+}
+
+TEST(ServerSnapshotTest, MembershipGapsSurviveExportRestoreExport) {
+  // Membership with holes: a failed idle client, a failed in-flight
+  // client, the largest id failing, and a quarantined client. The
+  // snapshot must reproduce its own bytes after a round trip, and the
+  // restored server must draw the same replacement cohort next.
+  QueueChannel channel;
+  ServerOptions options;
+  options.strategy = Strategy::kAsyncGoal;
+  options.broadcast = BroadcastManner::kAfterReceiving;
+  options.expected_clients = 12;
+  options.concurrency = 3;
+  options.aggregation_goal = 100;  // never aggregates: each update re-samples
+  options.max_rounds = 10;
+  options.seed = 11;
+  options.guard.enabled = true;
+  options.guard.quarantine_after = 1;
+  auto server = MakeServer(&channel, options);
+  for (int id = 1; id <= 12; ++id) server->HandleMessage(JoinFrom(id));
+  std::vector<int> in_flight = DrainBroadcastReceivers(&channel);
+  ASSERT_EQ(in_flight.size(), 3u);
+
+  const auto failure_from = [](int id) {
+    Message msg;
+    msg.sender = id;
+    msg.receiver = kServerId;
+    msg.msg_type = events::kClientFailure;
+    return msg;
+  };
+  // Fails `id` and keeps the in-flight list current: a busy client is
+  // presumed dead and replaced, an idle one just leaves the pool.
+  std::vector<int> gone;
+  const auto fail = [&](int id) {
+    const auto it = std::find(in_flight.begin(), in_flight.end(), id);
+    const bool busy = it != in_flight.end();
+    if (busy) in_flight.erase(it);
+    server->HandleMessage(failure_from(id));
+    gone.push_back(id);
+    const std::vector<int> replacement = DrainBroadcastReceivers(&channel);
+    ASSERT_EQ(replacement.size(), busy ? 1u : 0u) << "client " << id;
+    in_flight.insert(in_flight.end(), replacement.begin(), replacement.end());
+  };
+  fail(12);  // the largest id: a gap at the top of the range
+  for (int id = 1;; ++id) {
+    if (std::find(in_flight.begin(), in_flight.end(), id) == in_flight.end()) {
+      fail(id);  // an idle client
+      break;
+    }
+  }
+  fail(in_flight.front());  // an in-flight client
+  // A non-finite update quarantines its sender, whose slot is refilled.
+  Model ref = TestModel(7);
+  const int hostile = in_flight.front();
+  in_flight.erase(in_flight.begin());
+  server->HandleMessage(UpdateFrom(hostile, 0, &ref,
+                                   std::numeric_limits<float>::quiet_NaN()));
+  gone.push_back(hostile);
+  ASSERT_EQ(server->stats().quarantined, std::vector<int>{hostile});
+  const std::vector<int> refill = DrainBroadcastReceivers(&channel);
+  ASSERT_EQ(refill.size(), 1u);
+  in_flight.push_back(refill[0]);
+  EXPECT_EQ(server->joined_clients(), 12 - 4);
+
+  Checkpoint exported;
+  server->ExportSnapshot(&exported);
+  const std::vector<uint8_t> bytes = SerializeCheckpoint(exported);
+  auto decoded = DeserializeCheckpoint(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  QueueChannel restored_channel;
+  auto restored = MakeServer(&restored_channel, options);
+  ASSERT_TRUE(restored->RestoreSnapshot(decoded.value()).ok());
+  EXPECT_EQ(restored->joined_clients(), 12 - 4);
+  Checkpoint reexported;
+  restored->ExportSnapshot(&reexported);
+  EXPECT_EQ(SerializeCheckpoint(reexported), bytes);
+
+  // The next draws: the same update reaches both servers, and each refills
+  // the freed slot from its idle pool.
+  for (int draw_index = 0; draw_index < 3; ++draw_index) {
+    const int sender = in_flight.front();
+    in_flight.erase(in_flight.begin());
+    server->HandleMessage(UpdateFrom(sender, 0, &ref, 0.1f));
+    restored->HandleMessage(UpdateFrom(sender, 0, &ref, 0.1f));
+    const std::vector<int> draw = DrainBroadcastReceivers(&channel);
+    ASSERT_EQ(draw.size(), 1u);
+    EXPECT_EQ(DrainBroadcastReceivers(&restored_channel), draw)
+        << "draw " << draw_index;
+    for (int id : gone) EXPECT_NE(draw[0], id);
+    in_flight.push_back(draw[0]);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fedscope/core/client_id_set.h"
+
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -246,6 +249,39 @@ TEST(SamplerScaleTest, PopulationOfOne) {
   const CandidateView empty(1, {1});
   Rng rng3(16);
   EXPECT_TRUE(sampler.SampleIds(empty, 1, &rng3).empty());
+}
+
+TEST(ClientIdSetTest, AscendingMembersAndGapsAcrossWords) {
+  ClientIdSet set;
+  EXPECT_EQ(set.size(), 0);
+  EXPECT_TRUE(set.Gaps().empty());
+  for (int id : {130, 1, 64, 63, 2, 65}) EXPECT_TRUE(set.Insert(id));
+  EXPECT_FALSE(set.Insert(64));
+  EXPECT_EQ(set.size(), 6);
+  EXPECT_EQ(set.bound(), 130);
+  std::vector<int> members;
+  set.ForEach([&](int id) { members.push_back(id); });
+  EXPECT_EQ(members, (std::vector<int>{1, 2, 63, 64, 65, 130}));
+  EXPECT_TRUE(set.Contains(63));
+  EXPECT_FALSE(set.Contains(3));
+  EXPECT_FALSE(set.Contains(0));
+  EXPECT_FALSE(set.Contains(131));
+
+  // Erasing the largest id keeps the range: it becomes a gap.
+  EXPECT_TRUE(set.Erase(130));
+  EXPECT_FALSE(set.Erase(130));
+  EXPECT_EQ(set.bound(), 130);
+  const std::vector<int> gaps = set.Gaps();
+  ASSERT_EQ(gaps.size(), 130u - 5u);
+  EXPECT_EQ(gaps.front(), 3);
+  EXPECT_EQ(gaps.back(), 130);
+  EXPECT_TRUE(std::is_sorted(gaps.begin(), gaps.end()));
+  for (int id : gaps) EXPECT_FALSE(set.Contains(id));
+
+  // The complement is exactly the member list: the CandidateView over
+  // [1, bound()] minus the gaps materializes the members.
+  EXPECT_EQ(CandidateView(set.bound(), gaps).Materialize(),
+            (std::vector<int>{1, 2, 63, 64, 65}));
 }
 
 }  // namespace

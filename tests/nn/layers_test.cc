@@ -195,6 +195,13 @@ struct GradCheckCase {
   double tolerance = 2e-2;
 };
 
+/// Without this, gtest renders the case as raw object bytes, which start
+/// with the name string's heap address: the listed test names would then
+/// change with every build and run.
+void PrintTo(const GradCheckCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class LayerGradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 TEST_P(LayerGradCheck, AnalyticMatchesNumeric) {
