@@ -20,10 +20,10 @@
 // * The memory proof is the live-client counter, not RSS: peak live
 //   Clients must stay within the cache capacity + 1 (the pre-Trim
 //   transient) at every population, or the bench fails.
-// * At the smallest population the virtualized run is verified
-//   bit-identical to an eagerly instantiated run of the same course
-//   (oracle 12's differential); the larger populations are too big to
-//   instantiate eagerly — which is the point.
+// * At the smallest population the auto-capacity run is verified
+//   bit-identical to a no-evict run (capacity = population) of the same
+//   course (oracle 12's capacity sweep); the larger populations are too
+//   big to keep live at once — which is the point.
 
 #include <chrono>
 #include <cstdio>
@@ -118,20 +118,11 @@ Sample TimeRun(const ClientDataProvider* provider, int rounds) {
   return s;
 }
 
-/// Eager twin of the virtualized course (EagerDataProvider materializes
-/// the identical partitions), for the smallest-population identity check.
-RunResult RunEager(const ProceduralDataOptions& data_options, int rounds) {
-  const ProceduralDataProvider provider(data_options);
-  FedDataset data;
-  data.clients.reserve(data_options.num_clients);
-  for (int id = 1; id <= data_options.num_clients; ++id) {
-    data.clients.push_back(provider.MaterializeClient(id));
-  }
-  data.server_test = provider.server_test();
-  FedJob job = MakeJob(nullptr, rounds);
-  job.virtualize = false;
-  job.provider = nullptr;
-  job.data = &data;
+/// No-evict twin of the course (cache capacity = population), for the
+/// smallest-population identity check.
+RunResult RunNoEvict(const ClientDataProvider* provider, int rounds) {
+  FedJob job = MakeJob(provider, rounds);
+  job.client_cache_capacity = provider->num_clients();
   return FedRunner(std::move(job)).Run();
 }
 
@@ -212,12 +203,12 @@ int Main(int argc, char** argv) {
       ok = false;
     }
 
-    // Eager-vs-virtualized identity at the smallest population only (the
-    // eager twin must actually fit).
+    // No-evict-vs-auto-capacity identity at the smallest population only
+    // (the no-evict twin must actually fit).
     if (pi == 0) {
       Sample virt = TimeRun(&provider, 4);
-      RunResult eager = RunEager(data_options, 4);
-      identity_ok = BitIdentical(eager, virt.result);
+      RunResult no_evict = RunNoEvict(&provider, 4);
+      identity_ok = BitIdentical(no_evict, virt.result);
       identity_checked = true;
       ok = ok && identity_ok;
     }
@@ -257,7 +248,7 @@ int Main(int argc, char** argv) {
 
   table.Print();
   if (identity_checked) {
-    std::printf("\neager-vs-virtualized identity at %d clients: %s\n",
+    std::printf("\nno-evict-vs-auto-capacity identity at %d clients: %s\n",
                 populations[0], identity_ok ? "bit-identical" : "DIVERGED");
   }
   if (!ok) return 1;

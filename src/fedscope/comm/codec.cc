@@ -58,6 +58,9 @@ class Reader {
   }
   bool Raw(void* data, size_t size) {
     if (pos_ + size > in_.size()) return false;
+    // memcpy's pointers must be valid even for size 0; an empty tensor's
+    // storage and an empty buffer's data() may both be null.
+    if (size == 0) return true;
     std::memcpy(data, in_.data() + pos_, size);
     pos_ += size;
     return true;

@@ -12,33 +12,20 @@
 namespace fedscope {
 
 FedRunner::FedRunner(FedJob job) : job_(std::move(job)) {
-  FS_CHECK(job_.virtualize || job_.provider == nullptr)
-      << "FedJob::provider requires FedJob::virtualize";
-  if (job_.virtualize) {
-    if (job_.provider == nullptr) {
-      FS_CHECK(job_.data != nullptr);
-      owned_provider_ = std::make_unique<EagerDataProvider>(job_.data);
-      job_.provider = owned_provider_.get();
-    }
-    provider_ = job_.provider;
-    population_ = provider_->num_clients();
-  } else {
+  if (job_.provider == nullptr) {
     FS_CHECK(job_.data != nullptr);
-    population_ = job_.data->num_clients();
+    owned_provider_ = std::make_unique<EagerDataProvider>(job_.data);
+    job_.provider = owned_provider_.get();
   }
+  population_ = job_.provider->num_clients();
   FS_CHECK_GT(population_, 0);
   BuildWorkers();
 }
 
 Client* FedRunner::client(int id) {
-  FS_CHECK_GE(id, 1);
-  FS_CHECK_LE(id, population_);
-  if (cache_ != nullptr) {
-    Client* live = cache_->Get(id);
-    cache_->Trim();  // `live` survives: Get marked it most recently used
-    return live;
-  }
-  return clients_[id - 1].get();
+  Client* live = cache_->Get(id);
+  cache_->Trim();  // `live` survives: Get marked it most recently used
+  return live;
 }
 
 EdgeAggregator* FedRunner::aggregator(int shard, int slot) {
@@ -50,11 +37,8 @@ EdgeAggregator* FedRunner::aggregator(int shard, int slot) {
 void FedRunner::BuildWorkers() {
   const int n = population_;
 
-  // Virtualized courses keep an empty fleet empty (a homogeneous default
-  // profile per id) rather than allocating one entry per descriptor.
-  if (job_.fleet.empty() && !job_.virtualize) {
-    job_.fleet.assign(n, DeviceProfile{});
-  }
+  // An empty fleet stays empty: DeriveClientOptions gives every id the
+  // homogeneous default profile.
   if (!job_.fleet.empty()) {
     FS_CHECK_EQ(static_cast<int>(job_.fleet.size()), n);
   }
@@ -118,35 +102,12 @@ void FedRunner::BuildWorkers() {
     }
   }
 
-  clients_.clear();
-  ports_.clear();
-  cache_.reset();
-  const bool threaded = job_.exec.backend == ExecutionBackend::kThreaded;
-  if (job_.virtualize) {
-    cache_ = std::make_unique<ClientCache>(
-        population_, CacheCapacity(),
-        [this](int id) { return MakeCacheEntry(id); });
-  } else {
-    clients_.reserve(n);
-    for (int i = 0; i < n; ++i) {
-      const int id = i + 1;
-      CommChannel* client_channel = channel;
-      if (threaded) {
-        // A pass-through port per client; the parallel stage opens capture
-        // windows on it so a task's sends drain at commit, not mid-task.
-        ports_.push_back(std::make_unique<BufferingChannel>(channel));
-        client_channel = ports_.back().get();
-      }
-      clients_.push_back(std::make_unique<Client>(
-          id, DeriveClientOptions(id), job_.init_model, job_.data->clients[i],
-          job_.trainer_factory(id), client_channel));
-    }
-  }
+  cache_ = std::make_unique<ClientCache>(
+      n, CacheCapacity(), [this](int id) { return MakeCacheEntry(id); });
 
   if (job_.obs.enabled()) {
     queue_.set_obs(&job_.obs);
     server_->set_obs(&job_.obs);
-    for (auto& client : clients_) client->set_obs(&job_.obs);
     for (auto& agg : aggregators_) agg->set_obs(&job_.obs);
     if (fault_channel_ != nullptr) fault_channel_->set_obs(&job_.obs);
   }
@@ -158,7 +119,7 @@ ClientOptions FedRunner::DeriveClientOptions(int id) const {
       job_.fleet.empty() ? DeviceProfile{} : job_.fleet[id - 1];
   // Same stream as a one-pass `seeder.Fork(1..n)` sweep: Fork is const and
   // keyed on the id, so the per-client seed is re-derivable in isolation —
-  // the property virtualized re-instantiation depends on.
+  // the property re-instantiation after eviction depends on.
   options.seed = Rng(job_.seed).Fork(static_cast<uint64_t>(id)).Next();
   if (job_.client_customizer) job_.client_customizer(id, &options);
   return options;
@@ -168,20 +129,23 @@ ClientCache::Entry FedRunner::MakeCacheEntry(int id) {
   ClientCache::Entry entry;
   CommChannel* client_channel = worker_channel_;
   if (job_.exec.backend == ExecutionBackend::kThreaded) {
+    // A pass-through port; the parallel stage opens capture windows on it
+    // so a task's sends drain at commit, not mid-task.
     entry.port = std::make_unique<BufferingChannel>(worker_channel_);
     client_channel = entry.port.get();
   }
   entry.client = std::make_unique<Client>(
       id, DeriveClientOptions(id), job_.init_model,
-      provider_->MaterializeClient(id), job_.trainer_factory(id),
+      job_.provider->MaterializeClient(id), job_.trainer_factory(id),
       client_channel);
   if (job_.obs.enabled()) entry.client->set_obs(&job_.obs);
-  if (job_.client_decorator) job_.client_decorator(id, entry.client.get());
   return entry;
 }
 
 int FedRunner::CacheCapacity() const {
   if (job_.client_cache_capacity > 0) return job_.client_cache_capacity;
+  // Without virtualize the whole population stays live once touched.
+  if (!job_.virtualize) return population_;
   // Auto bound: the cohort — `concurrency` clients in flight, inflated by
   // the over-selection margin — plus slack for a replacement drawn while
   // the vacated slot's client is still live. Capacity only bounds peak
@@ -204,8 +168,7 @@ std::unique_ptr<Server> FedRunner::MakeServer() {
   if (job_.evaluator) {
     server->set_evaluator(job_.evaluator);
   } else {
-    const Dataset* test = provider_ != nullptr ? &provider_->server_test()
-                                               : &job_.data->server_test;
+    const Dataset* test = &job_.provider->server_test();
     server->set_evaluator(
         [test](Model* model) { return EvaluateClassifier(model, *test); });
   }
@@ -295,16 +258,37 @@ void FedRunner::MaybeSnapshotAggregator(EdgeAggregator* agg) {
                  static_cast<double>(written.value()));
 }
 
-void FedRunner::DeliverToVirtualClient(const Message& msg) {
-  if (!cache_->IsLive(msg.receiver) && !job_.client_decorator) {
-    // State-free deliveries to reclaimed clients skip instantiation.
-    // Safe because the default handlers make them unobservable: OnFinish
-    // only sets the finished flag (recorded in the cache), the assign_id
-    // handler is a no-op, and neither consumes the client rng. The
-    // virtual-clock advance is unobservable too — the queue delivers in
-    // non-decreasing timestamp order, so no later reply is ever clamped
-    // by it. A client_decorator may have overridden these handlers, so
-    // its presence disables the short-circuits.
+void FedRunner::JoinIn(int id) {
+  if (cache_->IsLive(id)) {
+    // Made live through client(id): it may carry changed data.
+    cache_->Get(id)->JoinIn();
+    return;
+  }
+  // Synthesized from the descriptor — byte-identical to Client::JoinIn
+  // (which consumes no client rng) — so announcing a 1M-client population
+  // instantiates no Client. The send enters at worker_channel_, the same
+  // decorator stack a live client's channel feeds.
+  Message msg;
+  msg.sender = id;
+  msg.receiver = kServerId;
+  msg.msg_type = events::kJoinIn;
+  msg.timestamp = 0.0;
+  const ClientOptions options = DeriveClientOptions(id);
+  msg.payload.SetDouble("resp_score",
+                        ResponsivenessScores({options.device})[0]);
+  msg.payload.SetInt("num_train", job_.provider->TrainSize(id));
+  worker_channel_->Send(std::move(msg));
+}
+
+void FedRunner::DeliverToClient(const Message& msg) {
+  if (!cache_->IsLive(msg.receiver)) {
+    // State-free deliveries to non-live clients skip instantiation. Safe
+    // because a non-live client runs the default handlers, which make
+    // them unobservable: OnFinish only sets the finished flag (recorded in
+    // the cache), the assign_id handler is a no-op, and neither consumes
+    // the client rng. The virtual-clock advance is unobservable too — the
+    // queue delivers in non-decreasing timestamp order, so no later reply
+    // is ever clamped by it.
     if (msg.msg_type == events::kFinish) {
       cache_->MarkFinished(msg.receiver);
       return;
@@ -343,11 +327,11 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
   while (batch < limit) {
     const int receiver = ready[batch]->receiver;
     if (receiver < 1 || receiver > population_) break;
-    // Virtualized: a delivery to a reclaimed client stays on the pump
-    // thread (it may instantiate, restore, or short-circuit — all cache
-    // mutations). The serial step handles it; by the next stage the
-    // client is live and batchable.
-    if (cache_ != nullptr && !cache_->IsLive(receiver)) break;
+    // A delivery to a non-live client stays on the pump thread (it may
+    // instantiate, restore, or short-circuit — all cache mutations). The
+    // serial step handles it; by the next stage the client is live and
+    // batchable.
+    if (!cache_->IsLive(receiver)) break;
     ++batch;
   }
   if (batch < 2) return 0;  // nothing to overlap; a serial step is cheaper
@@ -395,10 +379,8 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
   std::vector<std::function<void()>> tasks;
   tasks.reserve(by_client.size());
   for (auto& [id, indices] : by_client) {
-    Client* client =
-        cache_ != nullptr ? cache_->Get(id) : clients_[id - 1].get();
-    BufferingChannel* port =
-        cache_ != nullptr ? cache_->Port(id) : ports_[id - 1].get();
+    Client* client = cache_->Get(id);
+    BufferingChannel* port = cache_->Port(id);
     const std::vector<size_t>* idx = &indices;  // map nodes are stable
     tasks.push_back([client, port, &captures, idx, capture_obs] {
       for (size_t i : *idx) {
@@ -413,9 +395,7 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
   pool_->Run(&tasks);
   if (capture_obs) {
     for (const auto& entry : by_client) {
-      Client* client = cache_ != nullptr ? cache_->Get(entry.first)
-                                         : clients_[entry.first - 1].get();
-      client->set_obs(&job_.obs);
+      cache_->Get(entry.first)->set_obs(&job_.obs);
     }
   }
 
@@ -436,20 +416,16 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
     for (const Message& send : c.sends) worker_channel_->Send(send);
   }
   // The batch is fully committed — a safe point to reclaim live clients.
-  if (cache_ != nullptr) cache_->Trim();
+  cache_->Trim();
   return batch;
 }
 
 CompletenessReport FedRunner::CheckCompleteness() {
   CompletenessChecker checker;
   checker.AddRegistry(server_->registry());
-  if (cache_ != nullptr) {
-    // Client behaviour is uniform up to handler overrides; client 1's
-    // registry represents the population (it stays cached for the course).
-    checker.AddRegistry(cache_->Get(1)->registry());
-  } else if (!clients_.empty()) {
-    checker.AddRegistry(clients_[0]->registry());
-  }
+  // Client behaviour is uniform up to handler overrides; client 1's
+  // registry represents the population.
+  checker.AddRegistry(cache_->Get(1)->registry());
   checker.MarkEntry(events::kJoinIn);
   checker.MarkTerminal(events::kFinish);
   // Bridge the server's internal condition chain: join_in completion leads
@@ -527,27 +503,7 @@ RunResult FedRunner::Run() {
   // Building up: every client requests to join at t = 0. Standby
   // aggregators arm their failure watchdogs (no-op for active slots).
   for (auto& agg : aggregators_) agg->StartWatchdog();
-  if (cache_ != nullptr) {
-    // Virtualized: joins are synthesized from the descriptors —
-    // byte-identical to Client::JoinIn (which consumes no client rng) —
-    // so announcing a 1M-client population instantiates no Client. The
-    // send enters at worker_channel_, the same decorator stack a live
-    // client's channel feeds.
-    for (int id = 1; id <= population_; ++id) {
-      Message msg;
-      msg.sender = id;
-      msg.receiver = kServerId;
-      msg.msg_type = events::kJoinIn;
-      msg.timestamp = 0.0;
-      const ClientOptions options = DeriveClientOptions(id);
-      msg.payload.SetDouble("resp_score",
-                            ResponsivenessScores({options.device})[0]);
-      msg.payload.SetInt("num_train", provider_->TrainSize(id));
-      worker_channel_->Send(std::move(msg));
-    }
-  } else {
-    for (auto& client : clients_) client->JoinIn();
-  }
+  for (int id = 1; id <= population_; ++id) JoinIn(id);
 
   // Pump the virtual-time event loop. Messages to finished/unknown workers
   // are dropped. The loop ends when the course terminated and the queue
@@ -583,11 +539,7 @@ RunResult FedRunner::Run() {
         if (snapshot_writer_.ShouldSnapshot(last_seen_round)) WriteSnapshot();
       }
     } else if (msg.receiver >= 1 && msg.receiver <= population_) {
-      if (cache_ != nullptr) {
-        DeliverToVirtualClient(msg);
-      } else {
-        clients_[msg.receiver - 1]->HandleMessage(msg);
-      }
+      DeliverToClient(msg);
     } else if (IsAggregatorId(msg.receiver)) {
       DeliverToAggregator(msg);
     } else {
@@ -626,19 +578,18 @@ RunResult FedRunner::Run() {
     result.client_test_accuracy.reserve(population_);
     result.client_test_loss.reserve(population_);
     for (int id = 1; id <= population_; ++id) {
-      Client* client =
-          cache_ != nullptr ? cache_->Get(id) : clients_[id - 1].get();
+      Client* client = cache_->Get(id);
       const StateDict final_shared = server_->global_model()->GetStateDict(
           client->options().share_filter);
       client->trainer()->UpdateModel(client->model(), final_shared);
       EvalResult eval = client->EvaluateLocalTest();
       result.client_test_accuracy.push_back(eval.accuracy);
       result.client_test_loss.push_back(eval.loss);
-      if (cache_ != nullptr) cache_->Trim();
+      cache_->Trim();
     }
   }
 
-  if (cache_ != nullptr && job_.obs.metrics != nullptr) {
+  if (job_.obs.metrics != nullptr) {
     const ClientCacheStats& cs = cache_->stats();
     job_.obs.SetGauge("fs_virtual_clients_instantiated",
                       static_cast<double>(cs.instantiations));

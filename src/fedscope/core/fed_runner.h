@@ -27,7 +27,8 @@ namespace fedscope {
 
 /// Everything needed to stand up one FL course in standalone simulation.
 struct FedJob {
-  /// The federated dataset (not owned; must outlive the runner).
+  /// The federated dataset (not owned; must outlive the runner). Read
+  /// through an EagerDataProvider; ignored when `provider` is set.
   const FedDataset* data = nullptr;
   /// Initial global model; every client starts from a copy.
   Model init_model;
@@ -88,33 +89,26 @@ struct FedJob {
   /// deliveries on a worker pool and commits their effects in canonical
   /// order, bit-identical to kSerial under the same seed.
   ExecutionOptions exec;
-  /// Client virtualization (DESIGN.md §13). Off by default: all clients
-  /// are instantiated eagerly at construction, exactly as before. On: the
-  /// population exists as descriptors only; a bounded ClientCache
-  /// instantiates a Client when a message must be delivered to it and
-  /// reclaims it afterwards, so peak live clients is O(cohort) rather
-  /// than O(population). Bit-identical to the eager path under the same
-  /// seed (oracle 12).
+  /// Picks the default client-cache capacity (DESIGN.md §13). Every
+  /// course holds its population as descriptors and instantiates a Client
+  /// through a bounded ClientCache when a message must be delivered to
+  /// it. Off: the capacity is the population, so no client is ever
+  /// evicted. On: the capacity is the cohort plus slack, so peak live
+  /// clients is O(cohort) rather than O(population). Bit-identical either
+  /// way under the same seed (oracle 12).
   bool virtualize = false;
-  /// Live-client bound for the virtualized cache. 0 = auto: the cohort
-  /// size (concurrency plus the over-selection margin) plus slack. A pure
-  /// performance knob — any capacity >= 1 yields the same course.
+  /// Live-client bound of the client cache. 0 = the default chosen by
+  /// `virtualize`. A pure performance knob — any capacity >= 1 yields the
+  /// same course.
   int client_cache_capacity = 0;
   /// Run the end-of-course deployment evaluation over every client
   /// (RunResult::client_test_accuracy). On by default (paper Figure 12);
   /// turn off for cross-device-scale courses where the O(population)
-  /// final sweep dominates. Honoured by both eager and virtualized runs.
+  /// final sweep dominates.
   bool deploy_eval = true;
-  /// Lazy data source for virtualized courses (borrowed; must outlive the
-  /// runner). Null with virtualize on: `data` is wrapped in an
-  /// EagerDataProvider. Requires virtualize.
+  /// Lazy data source of the course (borrowed; must outlive the runner).
+  /// Null: `data` is wrapped in an EagerDataProvider.
   const ClientDataProvider* provider = nullptr;
-  /// Optional hook applied to every Client the virtualized cache
-  /// instantiates (handler overrides, poisoners). When set, deliveries
-  /// never short-circuit past instantiation — every targeted client is
-  /// materialized so the decorated behaviour runs. Eager runs ignore it
-  /// (decorate via runner.client(id) before Run()).
-  std::function<void(int, Client*)> client_decorator;
   uint64_t seed = 1234;
 };
 
@@ -131,11 +125,11 @@ struct RunResult {
   CompletenessReport completeness;
 };
 
-/// Standalone-mode runner: instantiates the server and all clients,
-/// connects them through a virtual-time event queue, and pumps messages
-/// until the course terminates (paper §5.3.1's virtual-timestamp
-/// simulation). The runner itself is the CommChannel: workers' Send calls
-/// become queue pushes.
+/// Standalone-mode runner: instantiates the server, holds the clients as
+/// descriptors behind a ClientCache, connects them through a virtual-time
+/// event queue, and pumps messages until the course terminates (paper
+/// §5.3.1's virtual-timestamp simulation). The runner itself is the
+/// CommChannel: workers' Send calls become queue pushes.
 class FedRunner : public CommChannel {
  public:
   explicit FedRunner(FedJob job);
@@ -147,13 +141,15 @@ class FedRunner : public CommChannel {
   void Send(const Message& msg) override;
 
   Server* server() { return server_.get(); }
-  /// The client with id `id` (1-based). Virtualized: instantiates it if
-  /// needed; the pointer stays valid until the next delivery to a
-  /// different client (which may reclaim it).
+  /// The client with id `id` (1-based), instantiated if needed. The
+  /// pointer, and any change made through it, lasts until the cache
+  /// evicts the client: never at the default capacity of a course without
+  /// `virtualize`, else possibly at the next delivery to another client.
+  /// A client made live before Run() sends its own join_in.
   Client* client(int id);
-  /// Population size (== live client count only in eager mode).
+  /// Population size (descriptors, not live clients).
   int num_clients() const { return population_; }
-  /// The virtualized client cache (null in eager mode).
+  /// The client cache (never null).
   const ClientCache* client_cache() const { return cache_.get(); }
   /// Edge aggregator of `shard` × `slot` (hierarchical topologies only;
   /// null when the incarnation does not exist).
@@ -191,17 +187,21 @@ class FedRunner : public CommChannel {
 
   void BuildWorkers();
   /// Client `id`'s effective options — base + fleet device + forked seed +
-  /// customizer — derived identically by the eager construction loop and
-  /// every virtualized (re-)instantiation.
+  /// customizer — derived identically by the synthesized join and every
+  /// (re-)instantiation.
   ClientOptions DeriveClientOptions(int id) const;
-  /// Factory for the virtualized cache: builds client `id` wired exactly
-  /// as the eager path would (port included on the threaded backend).
+  /// Factory for the cache: builds client `id` (port included on the
+  /// threaded backend).
   ClientCache::Entry MakeCacheEntry(int id);
-  /// Effective cache capacity (client_cache_capacity, or the auto bound).
+  /// Effective cache capacity: client_cache_capacity, else the auto bound
+  /// under virtualize, else the population.
   int CacheCapacity() const;
-  /// Delivers a pump-loop message to a (possibly non-live) virtual
-  /// client, short-circuiting state-free deliveries past instantiation.
-  void DeliverToVirtualClient(const Message& msg);
+  /// Sends client `id`'s join_in: its own when it is live, else one
+  /// synthesized from its descriptor.
+  void JoinIn(int id);
+  /// Delivers a pump-loop message to a (possibly non-live) client,
+  /// short-circuiting state-free deliveries past instantiation.
+  void DeliverToClient(const Message& msg);
   /// Threaded backend: forms the maximal batch of equal-virtual-time
   /// client-targeted deliveries at the queue front, handles them on the
   /// worker pool with per-delivery capture (sends, metric ops, trace
@@ -228,18 +228,15 @@ class FedRunner : public CommChannel {
   /// Writes `agg`'s durable checkpoint when its forwarded count advanced
   /// (per-shard "s<N>-"-prefixed files under FedJob::snapshot.directory).
   void MaybeSnapshotAggregator(EdgeAggregator* agg);
-  /// Non-const: a virtualized course instantiates client 1 to read its
-  /// handler registry.
+  /// Non-const: instantiates client 1 to read its handler registry.
   CompletenessReport CheckCompleteness();
 
   FedJob job_;
-  /// Total participant count (descriptors in virtualized mode).
+  /// Total participant count (descriptors).
   int population_ = 0;
-  /// Wraps job_.data when virtualize is on without an explicit provider.
+  /// Wraps job_.data when the job names no provider.
   std::unique_ptr<EagerDataProvider> owned_provider_;
-  /// Data source of virtualized courses (null in eager mode).
-  const ClientDataProvider* provider_ = nullptr;
-  /// Bounded live-client cache (null in eager mode).
+  /// Bounded live-client cache.
   std::unique_ptr<ClientCache> cache_;
   EventQueue queue_;
   FaultPlan fault_plan_;
@@ -247,7 +244,6 @@ class FedRunner : public CommChannel {
   std::unique_ptr<TapChannel> tap_channel_;
   PairwiseDuplicateSuppressor dedup_;
   std::unique_ptr<Server> server_;
-  std::vector<std::unique_ptr<Client>> clients_;  // index 0 -> client id 1
   /// All edge-aggregator incarnations (hierarchical topologies only),
   /// indexed through aggregator_index_ by worker id.
   std::vector<std::unique_ptr<EdgeAggregator>> aggregators_;
@@ -261,11 +257,9 @@ class FedRunner : public CommChannel {
   /// The channel handed to workers (outermost decorator); kept so a
   /// crash-restored server is wired identically to the original.
   CommChannel* worker_channel_ = nullptr;
-  /// Threaded backend only: per-client send buffers (index 0 -> client 1)
-  /// between each client and worker_channel_, and the pool that runs the
-  /// batches. Both absent under kSerial — wiring is byte-identical to
-  /// before the backend existed.
-  std::vector<std::unique_ptr<BufferingChannel>> ports_;
+  /// Threaded backend only: the pool that runs the batches (each live
+  /// client's send buffer rides its ClientCache::Entry). Absent under
+  /// kSerial — wiring is byte-identical to before the backend existed.
   std::unique_ptr<WorkerPool> pool_;
   SnapshotWriter snapshot_writer_;
   int64_t recoveries_ = 0;

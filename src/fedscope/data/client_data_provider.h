@@ -9,10 +9,10 @@
 
 namespace fedscope {
 
-/// Lazy per-client data source for client virtualization (DESIGN.md §13).
-/// A virtualized FedRunner holds only this provider; a client's local
-/// splits are materialized when the ClientCache instantiates it and
-/// dropped when the client is reclaimed. Implementations must be
+/// Lazy per-client data source of a FedRunner course (DESIGN.md §13). The
+/// runner holds only this provider; a client's local splits are
+/// materialized when the ClientCache instantiates it and dropped when the
+/// client is reclaimed. Implementations must be
 /// deterministic: MaterializeClient(id) returns bit-identical splits on
 /// every call, and TrainSize(id) equals the materialized train size
 /// without building it (it feeds the synthesized join_in).
@@ -27,8 +27,8 @@ class ClientDataProvider {
 };
 
 /// Adapts an eagerly built FedDataset: materialization returns a copy of
-/// the stored partition, so a virtualized course over this provider is
-/// bit-identical to the eager run over the same FedDataset.
+/// the stored partition. FedRunner wraps FedJob::data in one when the job
+/// names no provider.
 class EagerDataProvider : public ClientDataProvider {
  public:
   /// `data` is borrowed and must outlive the provider.

@@ -88,13 +88,13 @@ struct CourseSpec {
   int topology_kill_shard = -1;
   int topology_kill_round = 0;
 
-  // -- population (client virtualization, DESIGN.md §13) --------------------
+  // -- population (client cache, DESIGN.md §13) -----------------------------
   /// Total participant count when it exceeds the dataset-diversity axis:
   /// 0 = num_clients (the historical default; every pre-population corpus
   /// line keeps its form). > 0 draws a population larger than any cohort
-  /// (clamped to [12, 32]), so virtualized runs exercise eviction and
-  /// re-instantiation. The eager-vs-virtualized differential (oracle 12)
-  /// runs on every spec either way.
+  /// (clamped to [12, 32]), so the auto-capacity cache exercises eviction
+  /// and re-instantiation. The capacity sweep (oracle 12) runs on every
+  /// spec either way.
   int population = 0;
 
   // -- fault plan -----------------------------------------------------------

@@ -86,7 +86,8 @@ std::string Vs(const char* what, T expected, T observed) {
 }
 
 /// Drops the fs_virtual_* series (and their TYPE headers) from a
-/// Prometheus exposition — the only lines a virtualized run may add.
+/// Prometheus exposition — the client-cache gauges, the only lines the
+/// cache capacity may change.
 std::string StripVirtualSeries(const std::string& text) {
   std::istringstream in(text);
   std::ostringstream out;
@@ -98,20 +99,16 @@ std::string StripVirtualSeries(const std::string& text) {
   return out.str();
 }
 
-/// The cohort-derived auto capacity of the virtualized client cache
-/// (FedRunner::CacheCapacity) plus the one-client transient a delivery to
-/// a non-live client creates before Trim runs — the bound oracle 12 holds
-/// live_peak to.
-int64_t CohortCacheBound(const CourseSpec& spec) {
+}  // namespace
+
+int AutoCacheCapacity(const CourseSpec& spec) {
   int cohort = spec.concurrency;
   if (spec.strategy == "sync_overselect") {
     cohort =
         static_cast<int>(std::ceil(cohort * (1.0 + spec.overselect_frac)));
   }
-  return cohort + 2 + 1;
+  return cohort + 2;
 }
-
-}  // namespace
 
 std::string FormatViolations(const std::vector<Violation>& violations) {
   std::ostringstream out;
@@ -123,7 +120,7 @@ std::string FormatViolations(const std::vector<Violation>& violations) {
 
 CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
                                         int64_t crash_at_event,
-                                        int exec_threads, bool virtualize,
+                                        int exec_threads, int cache_capacity,
                                         std::string* metrics_export) {
   auto fixture = MakeCourseFixture(spec);
   FedJob job = fixture->MakeJob();
@@ -132,7 +129,7 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
     job.exec.backend = ExecutionBackend::kThreaded;
     job.exec.num_threads = exec_threads;
   }
-  job.virtualize = virtualize;
+  job.client_cache_capacity = cache_capacity;
 
   CourseObservation obs;
   MetricsRegistry metrics;
@@ -181,7 +178,7 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
     obs.promotions += agg->promotions();
     obs.partials_forwarded += agg->partials_forwarded();
   }
-  if (runner.client_cache() != nullptr) obs.cache = runner.client_cache()->stats();
+  obs.cache = runner.client_cache()->stats();
   if (metrics_export != nullptr) *metrics_export = metrics.PrometheusText();
   return obs;
 }
@@ -583,93 +580,99 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
           tag + "threaded backend changed the round structure");
   }
 
-  // -- oracle 12: eager-vs-virtualized differential -------------------------
-  // Client virtualization (DESIGN.md §13) is a pure execution-strategy
-  // change: descriptors plus a bounded cache must reproduce the eager run
-  // bit for bit. Both sides re-run with a metrics registry attached so the
-  // full obs exposition is compared too — the virtualized run may add only
-  // its fs_virtual_* gauges, which are stripped before comparing.
+  // -- oracle 12: client-cache capacity sweep -------------------------------
+  // Every course holds its clients behind a ClientCache (DESIGN.md §13),
+  // and capacity is a pure performance knob: the auto (cohort-derived) and
+  // the pathological capacity-1 caches must reproduce the no-evict
+  // reference (capacity = population) bit for bit. Every run attaches a
+  // metrics registry so the full obs exposition is compared too, up to the
+  // fs_virtual_* cache gauges, which count the capacity's own work.
   {
-    std::string eager_metrics;
-    std::string virt_metrics;
-    CourseObservation e = RunInstrumentedCourse(spec, -1, options.exec_threads,
-                                                /*virtualize=*/false,
-                                                &eager_metrics);
-    CourseObservation vv = RunInstrumentedCourse(spec, -1, options.exec_threads,
-                                                 /*virtualize=*/true,
-                                                 &virt_metrics);
-    Check(&v, vv.finished == e.finished, "virtualization_differential",
-          "termination differs");
-    Check(&v,
-          StateDictsBitEqual(e.result.final_model.GetStateDict(),
-                             vv.result.final_model.GetStateDict(), &detail),
-          "virtualization_differential",
-          "virtualization changed the final model: " + detail);
-    Check(&v, e.result.server.curve == vv.result.server.curve,
-          "virtualization_differential",
-          "virtualization changed the accuracy curve");
-    Check(&v, e.sent == vv.sent && e.delivered == vv.delivered,
-          "virtualization_differential",
-          Vs("message counts differ (sent)", e.sent, vv.sent) + " / " +
-              Vs("delivered", e.delivered, vv.delivered));
-    Check(&v, e.suppressed == vv.suppressed, "virtualization_differential",
-          Vs("suppressed differs", e.suppressed, vv.suppressed));
-    Check(&v,
-          e.fault.dropout_suppressed == vv.fault.dropout_suppressed &&
-              e.fault.crashes == vv.fault.crashes &&
-              e.fault.lost == vv.fault.lost &&
-              e.fault.duplicated == vv.fault.duplicated &&
-              e.fault.delayed == vv.fault.delayed &&
-              e.fault.aggregator_dropped == vv.fault.aggregator_dropped,
-          "virtualization_differential",
-          "fault-plan counters differ (fault rng consumed off-order)");
-    Check(&v, e.result.client_test_accuracy == vv.result.client_test_accuracy,
-          "virtualization_differential",
-          "virtualization changed client accuracies");
-    Check(&v,
-          e.result.server.rounds == vv.result.server.rounds &&
-              e.result.server.staleness_log == vv.result.server.staleness_log &&
-              e.result.server.agg_count == vv.result.server.agg_count,
-          "virtualization_differential",
-          "virtualization changed the round structure");
-    Check(&v, StripVirtualSeries(virt_metrics) == eager_metrics,
-          "virtualization_differential",
-          "metrics exposition differs beyond the fs_virtual_ gauges");
-    const int64_t bound = CohortCacheBound(spec);
-    Check(&v, vv.cache.live_peak >= 1 && vv.cache.live_peak <= bound,
-          "virtualization_differential",
-          Vs("peak live clients outside [1, cohort bound]", bound,
-             vv.cache.live_peak));
+    const int population = spec.EffectiveClients();
+    std::string ref_metrics;
+    CourseObservation e = RunInstrumentedCourse(
+        spec, -1, options.exec_threads, population, &ref_metrics);
+    ref_metrics = StripVirtualSeries(ref_metrics);
+    const int auto_capacity = AutoCacheCapacity(spec);
+    for (const int capacity : {auto_capacity, 1}) {
+      const std::string tag = "capacity " + std::to_string(capacity) + ": ";
+      std::string metrics;
+      CourseObservation vv = RunInstrumentedCourse(
+          spec, -1, options.exec_threads, capacity, &metrics);
+      Check(&v, vv.finished == e.finished, "cache_capacity_sweep",
+            tag + "termination differs");
+      Check(&v,
+            StateDictsBitEqual(e.result.final_model.GetStateDict(),
+                               vv.result.final_model.GetStateDict(), &detail),
+            "cache_capacity_sweep", tag + "final model differs: " + detail);
+      Check(&v, e.result.server.curve == vv.result.server.curve,
+            "cache_capacity_sweep", tag + "accuracy curve differs");
+      Check(&v, e.sent == vv.sent && e.delivered == vv.delivered,
+            "cache_capacity_sweep",
+            tag + Vs("message counts differ (sent)", e.sent, vv.sent) +
+                " / " + Vs("delivered", e.delivered, vv.delivered));
+      Check(&v, e.suppressed == vv.suppressed, "cache_capacity_sweep",
+            tag + Vs("suppressed differs", e.suppressed, vv.suppressed));
+      Check(&v,
+            e.fault.dropout_suppressed == vv.fault.dropout_suppressed &&
+                e.fault.crashes == vv.fault.crashes &&
+                e.fault.lost == vv.fault.lost &&
+                e.fault.duplicated == vv.fault.duplicated &&
+                e.fault.delayed == vv.fault.delayed &&
+                e.fault.aggregator_dropped == vv.fault.aggregator_dropped,
+            "cache_capacity_sweep",
+            tag + "fault-plan counters differ (fault rng consumed off-order)");
+      Check(&v,
+            e.result.client_test_accuracy == vv.result.client_test_accuracy,
+            "cache_capacity_sweep", tag + "client accuracies differ");
+      Check(&v,
+            e.result.server.rounds == vv.result.server.rounds &&
+                e.result.server.staleness_log ==
+                    vv.result.server.staleness_log &&
+                e.result.server.agg_count == vv.result.server.agg_count,
+            "cache_capacity_sweep", tag + "round structure differs");
+      Check(&v, StripVirtualSeries(metrics) == ref_metrics,
+            "cache_capacity_sweep",
+            tag + "metrics exposition differs beyond the fs_virtual_ gauges");
+      // Get runs before Trim, so one client beyond capacity may coexist.
+      const int64_t bound = std::min(capacity + 1, population);
+      Check(&v, vv.cache.live_peak >= 1 && vv.cache.live_peak <= bound,
+            "cache_capacity_sweep",
+            tag + Vs("peak live clients outside [1, capacity + 1]", bound,
+                     vv.cache.live_peak));
+    }
 
-    // Virtualized crash drill — oracle 8 under virtualization: the cache
-    // (the "other processes") survives the server kill, and the resumed
-    // course must still match the eager uninterrupted run bit for bit.
+    // Crash drill at the auto capacity — oracle 8 with evictions: the
+    // cache survives the server kill, and the resumed course must still
+    // match the uninterrupted no-evict run bit for bit.
     if (e.delivered > 0) {
       const int64_t crash_at = std::min<int64_t>(
           e.delivered - 1,
           static_cast<int64_t>(spec.crash_frac *
                                static_cast<double>(e.delivered)));
       CourseObservation vc = RunInstrumentedCourse(
-          spec, crash_at, options.exec_threads, /*virtualize=*/true);
-      Check(&v, vc.recoveries == 1, "virtualization_differential",
-            Vs("virtualized server restores performed", int64_t{1},
+          spec, crash_at, options.exec_threads, auto_capacity);
+      Check(&v, vc.recoveries == 1, "cache_capacity_sweep",
+            Vs("crash drill server restores performed", int64_t{1},
                vc.recoveries));
       Check(&v,
             StateDictsBitEqual(e.result.final_model.GetStateDict(),
                                vc.result.final_model.GetStateDict(), &detail),
-            "virtualization_differential",
-            "virtualized crash-resume changed the final model: " + detail);
+            "cache_capacity_sweep",
+            "crash-resume at auto capacity changed the final model: " +
+                detail);
       Check(&v, e.result.server.curve == vc.result.server.curve,
-            "virtualization_differential",
-            "virtualized crash-resume changed the accuracy curve");
+            "cache_capacity_sweep",
+            "crash-resume at auto capacity changed the accuracy curve");
       Check(&v, e.sent == vc.sent && e.delivered == vc.delivered,
-            "virtualization_differential",
-            Vs("virtualized crash-resume changed sent", e.sent, vc.sent) +
+            "cache_capacity_sweep",
+            Vs("crash-resume at auto capacity changed sent", e.sent,
+               vc.sent) +
                 " / " + Vs("delivered", e.delivered, vc.delivered));
       Check(&v,
             e.result.client_test_accuracy == vc.result.client_test_accuracy,
-            "virtualization_differential",
-            "virtualized crash-resume changed client accuracies");
+            "cache_capacity_sweep",
+            "crash-resume at auto capacity changed client accuracies");
     }
   }
 
@@ -689,9 +692,9 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
     std::string on_metrics;
     std::string off_metrics;
     CourseObservation gon = RunInstrumentedCourse(
-        on, -1, options.exec_threads, /*virtualize=*/false, &on_metrics);
+        on, -1, options.exec_threads, /*cache_capacity=*/0, &on_metrics);
     CourseObservation goff = RunInstrumentedCourse(
-        off, -1, options.exec_threads, /*virtualize=*/false, &off_metrics);
+        off, -1, options.exec_threads, /*cache_capacity=*/0, &off_metrics);
     Check(&v, gon.finished == goff.finished, "guard_transparency",
           "guard toggle changed termination");
     Check(&v,

@@ -58,15 +58,22 @@ struct CourseObservation {
 /// and the next delivery and restores it from a wire-codec-serialized
 /// snapshot (FaultPlanOptions::server_crash_at_event); -1 runs untouched.
 /// `exec_threads` > 0 runs the course under ExecutionBackend::kThreaded
-/// with that many pool workers; 0 keeps the serial default. `virtualize`
-/// runs the course with FedJob::virtualize (client descriptors + bounded
-/// cache, DESIGN.md §13). A non-null `metrics_export` attaches a private
-/// MetricsRegistry and stores its Prometheus exposition after the run.
+/// with that many pool workers; 0 keeps the serial default.
+/// `cache_capacity` > 0 bounds the live clients of the course's
+/// ClientCache (FedJob::client_cache_capacity, DESIGN.md §13); 0 keeps the
+/// job's default, the whole population. A non-null `metrics_export`
+/// attaches a private MetricsRegistry and stores its Prometheus exposition
+/// after the run.
 CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
                                         int64_t crash_at_event = -1,
                                         int exec_threads = 0,
-                                        bool virtualize = false,
+                                        int cache_capacity = 0,
                                         std::string* metrics_export = nullptr);
+
+/// The client-cache capacity FedRunner picks for the spec's course under
+/// FedJob::virtualize: the cohort (concurrency, inflated by over-selection)
+/// plus two slots of slack.
+int AutoCacheCapacity(const CourseSpec& spec);
 
 struct OracleOptions {
   /// Also run the standalone-vs-distributed differential when the spec is
@@ -114,13 +121,14 @@ bool DistributedEligible(const CourseSpec& spec);
 ///      ExecutionBackend::kThreaded at each OracleOptions::parallel_threads
 ///      worker count must reproduce the base run bit for bit (final model,
 ///      curve, client accuracies, message counts, round structure),
-///  12. eager-vs-virtualized differential (DESIGN.md §13): the course
-///      rerun with FedJob::virtualize must reproduce the eager run bit for
-///      bit — final model, curve, client accuracies, message and fault
-///      counters, round structure, and the metrics exposition (up to the
-///      fs_virtual_* gauges only the virtualized run emits); peak live
-///      clients must stay within the cohort-derived cache bound, and the
-///      virtualized crash drill must resume bit-identically too,
+///  12. client-cache capacity sweep (DESIGN.md §13): the course rerun at
+///      the auto (cohort-derived) capacity and at capacity 1 must
+///      reproduce the no-evict run (capacity = population) bit for bit —
+///      final model, curve, client accuracies, message and fault counters,
+///      round structure, and the metrics exposition (up to the
+///      fs_virtual_* cache gauges); peak live clients must stay within
+///      capacity + 1, and the crash drill at the auto capacity must resume
+///      bit-identically too,
 ///  13. guard transparency (benign specs, DESIGN.md §14): a pure-screening
 ///      ingress guard (no norm bound) over a course with zero hostile
 ///      clients must be bit-invisible — final model, curve, counters,

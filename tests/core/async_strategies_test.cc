@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "fedscope/core/fed_runner.h"
 #include "fedscope/data/synthetic_cifar.h"
 #include "fedscope/nn/model_zoo.h"
@@ -205,6 +208,12 @@ struct StrategyCase {
   BroadcastManner broadcast;
   std::string sampler;
 };
+
+// gtest's default value printer dumps the struct's raw bytes, which
+// include the name string's heap pointer; print the case name instead.
+void PrintTo(const StrategyCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
 
 class StrategySweep : public ::testing::TestWithParam<StrategyCase> {};
 

@@ -95,10 +95,9 @@ TEST(CrashRecoveryTest, VirtualizedCrashResumeIsBitIdentical) {
   RunResult baseline = FedRunner(MakeStandaloneJob(&data)).Run();
 
   // The same drill with client virtualization (DESIGN.md §13): the server
-  // is killed and restored while the population exists only as descriptors
-  // plus a bounded live-client cache. Suspended clients are untouched by
-  // the server restore, so resume must still be bit-identical to the
-  // uninterrupted *eager* run.
+  // is killed and restored while the live-client cache holds only about a
+  // cohort. Suspended clients are untouched by the server restore, so
+  // resume must still be bit-identical to the uninterrupted no-evict run.
   for (const int64_t crash_at : {int64_t{0}, int64_t{7}, int64_t{51}}) {
     FedJob job = MakeStandaloneJob(&data);
     job.virtualize = true;

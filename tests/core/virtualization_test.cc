@@ -1,24 +1,19 @@
-// Client virtualization (DESIGN.md §13): the population exists as
-// descriptors, a bounded ClientCache materializes sampled clients on
-// demand, and the course is bit-identical to the eager path. These tests
-// pin the memory bound (peak live clients stays within the cohort-derived
-// cache capacity, never the population) and the reclaim/restore identity
-// (an evicted client re-derives its exact Rng stream and state).
+// Client cache (DESIGN.md §13): the population exists as descriptors, a
+// bounded ClientCache materializes clients on demand, and the course is
+// bit-identical at every capacity to the no-evict run (capacity =
+// population). These tests pin the memory bound (under virtualize, peak
+// live clients stays within the cohort-derived capacity, never the
+// population) and the reclaim/restore identity (an evicted client
+// re-derives its exact Rng stream and state).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "fedscope/comm/codec.h"
 #include "fedscope/core/client_cache.h"
 #include "fedscope/core/fed_runner.h"
-#include "fedscope/core/trainer.h"
-#include "fedscope/data/client_data_provider.h"
-#include "fedscope/nn/model_zoo.h"
 #include "fedscope/testing/course_gen.h"
 #include "fedscope/testing/oracles.h"
 #include "fedscope/util/logging.h"
@@ -26,6 +21,7 @@
 namespace fedscope {
 namespace {
 
+using testing::AutoCacheCapacity;
 using testing::CourseGen;
 using testing::CourseObservation;
 using testing::CourseSpec;
@@ -58,16 +54,16 @@ CourseSpec BaseSpec() {
   return CourseGen::Clamp(spec);
 }
 
-/// The auto cache bound FedRunner derives — cohort (concurrency, inflated
-/// by over-selection) plus replacement slack — plus the one-client
-/// transient a delivery to a non-live client creates before Trim runs.
-int CohortBound(const CourseSpec& spec) {
-  int cohort = spec.concurrency;
-  if (spec.strategy == "sync_overselect") {
-    cohort =
-        static_cast<int>(std::ceil(cohort * (1.0 + spec.overselect_frac)));
-  }
-  return cohort + 2 + 1;
+/// The auto cache capacity FedRunner derives — cohort (concurrency,
+/// inflated by over-selection) plus replacement slack — plus the
+/// one-client transient a delivery to a non-live client creates before
+/// Trim runs.
+int CohortBound(const CourseSpec& spec) { return AutoCacheCapacity(spec) + 1; }
+
+/// The no-evict reference: a cache as large as the population.
+CourseObservation RunNoEvict(const CourseSpec& spec) {
+  return RunInstrumentedCourse(spec, -1, /*exec_threads=*/0,
+                               spec.EffectiveClients());
 }
 
 class VirtualizationTest : public ::testing::Test {
@@ -102,8 +98,17 @@ TEST_F(VirtualizationTest, LivePeakBoundedByCohortAcrossCourseShapes) {
     spec = CourseGen::Clamp(spec);
     ASSERT_GT(spec.EffectiveClients(), CohortBound(spec)) << c.name;
 
+    // The oracle's auto capacity is the one FedRunner picks under
+    // virtualize.
+    auto fixture = MakeCourseFixture(spec);
+    FedJob job = fixture->MakeJob();
+    job.virtualize = true;
+    EXPECT_EQ(FedRunner(std::move(job)).client_cache()->capacity(),
+              AutoCacheCapacity(spec))
+        << c.name;
+
     const CourseObservation obs = RunInstrumentedCourse(
-        spec, /*crash_at_event=*/-1, c.exec_threads, /*virtualize=*/true);
+        spec, /*crash_at_event=*/-1, c.exec_threads, AutoCacheCapacity(spec));
     EXPECT_TRUE(obs.finished) << c.name;
     EXPECT_GE(obs.cache.live_peak, 1) << c.name;
     EXPECT_LE(obs.cache.live_peak, CohortBound(spec)) << c.name;
@@ -119,37 +124,40 @@ TEST_F(VirtualizationTest, LivePeakBoundedByCohortAcrossCourseShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Virtualized == eager, bit for bit (the direct form of oracle 12)
+// Auto capacity == no-evict capacity, bit for bit (the direct form of
+// oracle 12)
 // ---------------------------------------------------------------------------
 
 TEST_F(VirtualizationTest, VirtualizedCourseBitIdenticalToEager) {
   const CourseSpec spec = BaseSpec();
-  CourseObservation eager = RunInstrumentedCourse(spec);
-  CourseObservation virt =
-      RunInstrumentedCourse(spec, -1, /*exec_threads=*/0, /*virtualize=*/true);
-  EXPECT_EQ(eager.finished, virt.finished);
-  EXPECT_TRUE(BitEqual(eager.result.final_model.GetStateDict(),
+  CourseObservation no_evict = RunNoEvict(spec);
+  CourseObservation virt = RunInstrumentedCourse(spec, -1, /*exec_threads=*/0,
+                                                 AutoCacheCapacity(spec));
+  EXPECT_EQ(no_evict.cache.evictions, 0);
+  EXPECT_GT(virt.cache.evictions, 0);
+  EXPECT_EQ(no_evict.finished, virt.finished);
+  EXPECT_TRUE(BitEqual(no_evict.result.final_model.GetStateDict(),
                        virt.result.final_model.GetStateDict()));
-  EXPECT_EQ(eager.result.server.curve, virt.result.server.curve);
-  EXPECT_EQ(eager.result.client_test_accuracy,
+  EXPECT_EQ(no_evict.result.server.curve, virt.result.server.curve);
+  EXPECT_EQ(no_evict.result.client_test_accuracy,
             virt.result.client_test_accuracy);
-  EXPECT_EQ(eager.sent, virt.sent);
-  EXPECT_EQ(eager.delivered, virt.delivered);
+  EXPECT_EQ(no_evict.sent, virt.sent);
+  EXPECT_EQ(no_evict.delivered, virt.delivered);
 }
 
 TEST_F(VirtualizationTest, ThreadedVirtualizedCourseBitIdenticalToSerialEager) {
   const CourseSpec spec = BaseSpec();
-  CourseObservation eager = RunInstrumentedCourse(spec);
-  CourseObservation virt =
-      RunInstrumentedCourse(spec, -1, /*exec_threads=*/3, /*virtualize=*/true);
-  EXPECT_EQ(eager.finished, virt.finished);
-  EXPECT_TRUE(BitEqual(eager.result.final_model.GetStateDict(),
+  CourseObservation no_evict = RunNoEvict(spec);
+  CourseObservation virt = RunInstrumentedCourse(spec, -1, /*exec_threads=*/3,
+                                                 AutoCacheCapacity(spec));
+  EXPECT_EQ(no_evict.finished, virt.finished);
+  EXPECT_TRUE(BitEqual(no_evict.result.final_model.GetStateDict(),
                        virt.result.final_model.GetStateDict()));
-  EXPECT_EQ(eager.result.server.curve, virt.result.server.curve);
-  EXPECT_EQ(eager.result.client_test_accuracy,
+  EXPECT_EQ(no_evict.result.server.curve, virt.result.server.curve);
+  EXPECT_EQ(no_evict.result.client_test_accuracy,
             virt.result.client_test_accuracy);
-  EXPECT_EQ(eager.sent, virt.sent);
-  EXPECT_EQ(eager.delivered, virt.delivered);
+  EXPECT_EQ(no_evict.sent, virt.sent);
+  EXPECT_EQ(no_evict.delivered, virt.delivered);
 }
 
 // ---------------------------------------------------------------------------
@@ -158,21 +166,20 @@ TEST_F(VirtualizationTest, ThreadedVirtualizedCourseBitIdenticalToSerialEager) {
 
 TEST_F(VirtualizationTest, CapacityOneEvictionRestoresIdenticalState) {
   const CourseSpec spec = BaseSpec();
-  CourseObservation eager = RunInstrumentedCourse(spec);
+  CourseObservation no_evict = RunNoEvict(spec);
 
   auto fixture = MakeCourseFixture(spec);
   FedJob job = fixture->MakeJob();
-  job.virtualize = true;
   job.client_cache_capacity = 1;  // every delivery evicts the previous client
   FedRunner runner(std::move(job));
   RunResult result = runner.Run();
 
   // Capacity is a pure performance knob: the pathological capacity-1 cache
-  // still reproduces the eager course bit for bit.
-  EXPECT_TRUE(BitEqual(eager.result.final_model.GetStateDict(),
+  // still reproduces the no-evict course bit for bit.
+  EXPECT_TRUE(BitEqual(no_evict.result.final_model.GetStateDict(),
                        result.final_model.GetStateDict()));
-  EXPECT_EQ(eager.result.server.curve, result.server.curve);
-  EXPECT_EQ(eager.result.client_test_accuracy, result.client_test_accuracy);
+  EXPECT_EQ(no_evict.result.server.curve, result.server.curve);
+  EXPECT_EQ(no_evict.result.client_test_accuracy, result.client_test_accuracy);
 
   const ClientCacheStats& stats = runner.client_cache()->stats();
   EXPECT_GT(stats.evictions, 0);
@@ -188,71 +195,6 @@ TEST_F(VirtualizationTest, CapacityOneEvictionRestoresIdenticalState) {
   Payload after;
   runner.client(1)->ExportResume(&after);
   EXPECT_EQ(EncodePayload(before), EncodePayload(after));
-}
-
-// ---------------------------------------------------------------------------
-// ClientCache checkpoint round-trip (course checkpoint surface, §10/§13)
-// ---------------------------------------------------------------------------
-
-class NullChannel : public CommChannel {
- public:
-  void Send(const Message& /*msg*/) override {}
-};
-
-TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
-  ProceduralDataOptions options;
-  options.num_clients = 8;
-  options.train_per_client = 8;
-  options.server_test_examples = 8;
-  const ProceduralDataProvider provider(options);
-  NullChannel sink;
-  Rng model_rng(3);
-  const Model init = MakeLogisticRegression(
-      static_cast<int>(options.features), static_cast<int>(options.classes),
-      &model_rng);
-  auto factory = [&](int id) {
-    ClientCache::Entry entry;
-    ClientOptions co;
-    co.seed = Rng(7).Fork(id).Next();
-    entry.client = std::make_unique<Client>(
-        id, co, init, provider.MaterializeClient(id),
-        std::make_unique<GeneralTrainer>(), &sink);
-    return entry;
-  };
-
-  ClientCache a(options.num_clients, /*capacity=*/1, factory);
-  a.Get(1);
-  a.Get(2);
-  a.Trim();         // client 1 suspended, client 2 live
-  a.MarkFinished(3);  // finish recorded without instantiating client 3
-  Payload checkpoint;
-  a.ExportState(&checkpoint);
-
-  // Restore into a fresh cache; re-exporting must be byte-identical.
-  ClientCache b(options.num_clients, /*capacity=*/1, factory);
-  b.RestoreState(checkpoint);
-  Payload roundtrip;
-  b.ExportState(&roundtrip);
-  EXPECT_EQ(EncodePayload(checkpoint), EncodePayload(roundtrip));
-
-  // A restored client resumes the exact serialized state.
-  Payload resumed;
-  b.Get(1)->ExportResume(&resumed);
-  const Payload want = ExtractPayloadPrefix(checkpoint, "vc/1/");
-  EXPECT_EQ(EncodePayload(resumed), EncodePayload(want));
-  EXPECT_EQ(b.stats().restores, 1);
-
-  // The finish flag survives the round trip: instantiating client 3 in the
-  // restored cache behaves exactly like a fresh client told to finish.
-  Payload restored_finished;
-  b.Get(3)->ExportResume(&restored_finished);
-  ClientCache::Entry fresh = factory(3);
-  Payload finish_only;
-  finish_only.SetInt("finished", 1);
-  fresh.client->RestoreResume(finish_only);
-  Payload want_finished;
-  fresh.client->ExportResume(&want_finished);
-  EXPECT_EQ(EncodePayload(restored_finished), EncodePayload(want_finished));
 }
 
 }  // namespace
