@@ -12,6 +12,7 @@
 #include "fedscope/comm/codec.h"
 #include "fedscope/core/aggregator.h"
 #include "fedscope/core/checkpoint.h"
+#include "fedscope/core/trainer.h"
 #include "fedscope/nn/loss.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/obs/obs_context.h"
@@ -108,6 +109,39 @@ void BM_ModelForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModelForwardBackward);
+
+// One local SGD step at coursebench silo_convnet's shape: ConvNet2 on one
+// 8x8 channel, batch 16, hidden 64. lr 0 keeps the weights fixed, so every
+// iteration does the same arithmetic on the same values.
+void BM_ConvNet2TrainStep(benchmark::State& state) {
+  Rng rng(3);
+  Model model = MakeConvNet2(1, 8, 10, 64, 0.0, &rng);
+  Tensor x = Tensor::Randn({16, 1, 8, 8}, &rng);
+  std::vector<int64_t> labels(16);
+  for (auto& label : labels) label = rng.UniformInt(0, 9);
+  Sgd optimizer(SgdOptions{/*lr=*/0.0});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SgdStepOnBatch(&model, &optimizer, x, labels));
+  }
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_ConvNet2TrainStep);
+
+// Server-side evaluation of silo_convnet's ConvNet2 on a 512-image test set.
+void BM_EvaluateClassifier(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  Rng rng(5);
+  Model model = MakeConvNet2(1, 8, 10, 64, 0.0, &rng);
+  Dataset test;
+  test.x = Tensor::Randn({rows, 1, 8, 8}, &rng);
+  test.labels.resize(rows);
+  for (auto& label : test.labels) label = rng.UniformInt(0, 9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EvaluateClassifier(&model, test));
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_EvaluateClassifier)->Arg(512);
 
 void BM_MessageEncode(benchmark::State& state) {
   Message msg;

@@ -84,7 +84,7 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
   bias_grad_ = Tensor::Zeros({out_channels});
 }
 
-Tensor Conv2d::Forward(const Tensor& x, bool /*train*/) {
+Tensor Conv2d::Forward(const Tensor& x, bool train) {
   FS_CHECK_EQ(x.ndim(), 4);
   FS_CHECK_EQ(x.dim(1), in_channels_);
   cached_input_ = x;
@@ -94,16 +94,26 @@ Tensor Conv2d::Forward(const Tensor& x, bool /*train*/) {
   FS_CHECK_GT(out_h, 0);
   FS_CHECK_GT(out_w, 0);
   // im2col lowering: per image, y[oc, oh*ow] = W[oc, ic*k*k] @ cols + bias.
+  // A training pass keeps every image's columns for Backward; an eval pass
+  // lowers into one image's worth and drops what a training pass left.
   Tensor y({batch, out_channels_, out_h, out_w});
   const int64_t patch = in_channels_ * kernel_ * kernel_;
   const int64_t spatial = out_h * out_w;
-  std::vector<float> cols(patch * spatial);
+  const int64_t image_cols = patch * spatial;
+  std::vector<float> eval_cols;
+  if (train) {
+    cached_cols_.resize(batch * image_cols);
+  } else {
+    std::vector<float>().swap(cached_cols_);
+    eval_cols.resize(image_cols);
+  }
   for (int64_t n = 0; n < batch; ++n) {
+    float* cols =
+        train ? cached_cols_.data() + n * image_cols : eval_cols.data();
     kernels::Im2Col(x.data() + n * in_channels_ * in_h * in_w, in_channels_,
-                    in_h, in_w, kernel_, padding_, cols.data());
+                    in_h, in_w, kernel_, padding_, cols);
     float* yn = y.data() + n * out_channels_ * spatial;
-    kernels::Gemm(out_channels_, spatial, patch, weight_.data(), cols.data(),
-                  yn);
+    kernels::Gemm(out_channels_, spatial, patch, weight_.data(), cols, yn);
     kernels::AddRowBias(yn, bias_.data(), out_channels_, spatial);
   }
   return y;
@@ -115,17 +125,25 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   const int64_t out_h = grad_out.dim(2), out_w = grad_out.dim(3);
   const int64_t patch = in_channels_ * kernel_ * kernel_;
   const int64_t spatial = out_h * out_w;
+  const int64_t image_cols = patch * spatial;
   Tensor grad_in(x.shape());
+  // After an eval forward no columns are kept: lower each image again.
+  const bool reuse = !cached_cols_.empty();
+  std::vector<float> recomputed(reuse ? 0 : image_cols);
   // Per image: db += rowsum(G), dW += G @ cols^T, d(cols) = W^T @ G, then
   // col2im scatters d(cols) back into grad_in.
-  std::vector<float> cols(patch * spatial);
-  std::vector<float> grad_cols(patch * spatial);
+  std::vector<float> grad_cols(image_cols);
   for (int64_t n = 0; n < batch; ++n) {
     const float* gn = grad_out.data() + n * out_channels_ * spatial;
+    const float* xn = x.data() + n * in_channels_ * in_h * in_w;
     kernels::RowSumsAccum(gn, out_channels_, spatial, bias_grad_.data());
-    kernels::Im2Col(x.data() + n * in_channels_ * in_h * in_w, in_channels_,
-                    in_h, in_w, kernel_, padding_, cols.data());
-    kernels::GemmTransB(out_channels_, patch, spatial, gn, cols.data(),
+    if (!reuse) {
+      kernels::Im2Col(xn, in_channels_, in_h, in_w, kernel_, padding_,
+                      recomputed.data());
+    }
+    const float* cols =
+        reuse ? cached_cols_.data() + n * image_cols : recomputed.data();
+    kernels::GemmTransB(out_channels_, patch, spatial, gn, cols,
                         weight_grad_.data());
     std::fill(grad_cols.begin(), grad_cols.end(), 0.0f);
     kernels::GemmTransA(patch, spatial, out_channels_, weight_.data(), gn,
@@ -133,6 +151,7 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
     kernels::Col2Im(grad_cols.data(), in_channels_, in_h, in_w, kernel_,
                     padding_, grad_in.data() + n * in_channels_ * in_h * in_w);
   }
+  std::vector<float>().swap(cached_cols_);
   return grad_in;
 }
 

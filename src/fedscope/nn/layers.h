@@ -97,6 +97,9 @@ class Conv2d : public Layer {
   Tensor bias_;    // [out_c]
   Tensor weight_grad_, bias_grad_;
   Tensor cached_input_;
+  // Im2Col columns of every image of the last training forward, held only
+  // until the matching Backward (empty otherwise, so idle models stay small).
+  std::vector<float> cached_cols_;
 };
 
 /// Elementwise rectified linear unit.

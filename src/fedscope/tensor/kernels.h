@@ -16,6 +16,17 @@ namespace kernels {
 // multiply-add. Vectorizing across *output* elements never reorders a
 // per-element chain, so results are bit-identical across vector widths
 // (SSE2/AVX2/AVX-512) and match the scalar *Reference kernels exactly.
+//
+// Tiling: C is computed in 8-row blocks; a block's columns go to 32-wide
+// tiles, then at most one 16- and one 8-wide tile, then the last n % 8
+// columns through an 8-wide tile over a zero-padded panel. Rows past the
+// last full block use a runtime-extent edge tile. Every tile starts each
+// element's chain at zero and adds it to c once, after the k loop.
+//
+// Callers above these kernels keep the contract too: Conv2d reuses its
+// forward's columns in Backward, and EvaluateClassifier runs its forward in
+// 32-row chunks (eval-mode layers are row-independent), both bit-identical
+// to lowering again and to one whole-set forward.
 // ---------------------------------------------------------------------------
 
 /// c += a @ b. a: [m, k] row-major, b: [k, n] row-major, c: [m, n] row-major.

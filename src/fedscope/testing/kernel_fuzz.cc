@@ -39,9 +39,11 @@ void Report(std::vector<Violation>* out, const std::string& oracle,
 
 void FuzzGemmTrial(Rng* rng, uint64_t trial_seed,
                    std::vector<Violation>* out) {
-  const int64_t m = rng->UniformInt(1, 40);
-  const int64_t n = rng->UniformInt(1, 40);
-  const int64_t k = rng->UniformInt(1, 40);
+  // Up to 80: n crosses the 32-, 16- and 8-wide tile boundaries at least
+  // twice, and m several 8-row blocks.
+  const int64_t m = rng->UniformInt(1, 80);
+  const int64_t n = rng->UniformInt(1, 80);
+  const int64_t k = rng->UniformInt(1, 80);
   const std::vector<float> a = RandomFloats(rng, m * k);
   const std::vector<float> b = RandomFloats(rng, k * n);
   // Random initial c: the kernels accumulate, so the contract must hold

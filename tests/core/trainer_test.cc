@@ -1,7 +1,12 @@
 #include "fedscope/core/trainer.h"
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "fedscope/nn/loss.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/nn/model.h"
 
@@ -139,6 +144,63 @@ TEST(EvaluateClassifierTest, EmptyDataset) {
   EvalResult r = EvaluateClassifier(&model, Dataset{});
   EXPECT_EQ(r.num_examples, 0);
   EXPECT_EQ(r.accuracy, 0.0);
+}
+
+Dataset RandomSet(int64_t size, const std::vector<int64_t>& row_shape,
+                  int64_t classes, Rng* rng) {
+  std::vector<int64_t> shape = {size};
+  shape.insert(shape.end(), row_shape.begin(), row_shape.end());
+  Dataset d;
+  d.x = Tensor::Randn(shape, rng);
+  d.labels.resize(size);
+  for (auto& label : d.labels) label = rng->UniformInt(0, classes - 1);
+  return d;
+}
+
+// EvaluateClassifier's chunked forward against one whole-set eval forward
+// with the loss and accuracy computed here: equal at sizes below, at, just
+// over and far over one chunk.
+TEST(EvaluateClassifierTest, ChunkedEvaluationMatchesWholeSetForward) {
+  struct EvalCase {
+    std::string name;
+    std::function<Model(Rng*)> build;
+    std::vector<int64_t> row_shape;
+    int64_t classes;
+  };
+  const EvalCase cases[] = {
+      {"mlp", [](Rng* r) { return MakeMlp({12, 16, 5}, r); }, {12}, 5},
+      {"convnet2_dropout",
+       [](Rng* r) { return MakeConvNet2(1, 8, 10, 16, 0.5, r); },
+       {1, 8, 8},
+       10},
+      {"mlp_batchnorm",
+       [](Rng* r) { return MakeMlpBn({12, 16, 16, 5}, r); },
+       {12},
+       5},
+  };
+  for (const EvalCase& c : cases) {
+    Rng rng(31);
+    Model model = c.build(&rng);
+    // Train a little so BatchNorm's running stats leave their initial
+    // values and the eval path reads non-trivial buffers.
+    TrainConfig config;
+    config.local_steps = 3;
+    config.batch_size = 16;
+    GeneralTrainer().Train(&model, RandomSet(64, c.row_shape, c.classes, &rng),
+                           config, &rng);
+    for (int64_t size : {1, 31, 32, 33, 512}) {
+      const Dataset test = RandomSet(size, c.row_shape, c.classes, &rng);
+      Model whole = model;
+      const Tensor logits = whole.Forward(test.x, /*train=*/false);
+      SoftmaxCrossEntropy loss;
+      const double want_loss = loss.Forward(logits, test.labels);
+      const double want_accuracy = Accuracy(logits, test.labels);
+      const EvalResult got = EvaluateClassifier(&model, test);
+      EXPECT_EQ(got.num_examples, size) << c.name;
+      EXPECT_EQ(got.loss, want_loss) << c.name << " size " << size;
+      EXPECT_EQ(got.accuracy, want_accuracy) << c.name << " size " << size;
+    }
+  }
 }
 
 TEST(SampleBatchIndicesTest, InRange) {

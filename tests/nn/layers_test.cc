@@ -1,10 +1,14 @@
 #include "fedscope/nn/layers.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fedscope/nn/grad_check.h"
 #include "fedscope/nn/loss.h"
 #include "fedscope/nn/model.h"
+#include "fedscope/tensor/kernels.h"
 #include "fedscope/tensor/tensor_ops.h"
 
 namespace fedscope {
@@ -179,6 +183,110 @@ TEST(Conv2dTest, OutputShapeNoPadding) {
   EXPECT_EQ(y.dim(1), 3);
   EXPECT_EQ(y.dim(2), 4);
   EXPECT_EQ(y.dim(3), 4);
+}
+
+// ---------------------------------------------------------------------------
+// Conv2d vs the per-image lowering it implements, bit for bit.
+// ---------------------------------------------------------------------------
+
+// ConvNet2's two convolutions at coursebench silo_convnet's shape (one 8x8
+// channel in, batch 16): conv1 is 1->8 on 8x8, conv2 8->16 on 4x4.
+struct ConvShape {
+  int64_t in_c, out_c, hw;
+};
+constexpr ConvShape kConvNet2Convs[] = {{1, 8, 8}, {8, 16, 4}};
+constexpr int64_t kConvBatch = 16, kConvKernel = 3, kConvPad = 1;
+
+// The per-image algorithm written out from the scalar GEMM references:
+// lower each image with Im2Col, multiply, add the bias.
+Tensor ReferenceConvForward(const Tensor& x, const Tensor& weight,
+                            const Tensor& bias, int64_t out_c) {
+  const int64_t batch = x.dim(0), in_c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int64_t out_h = kernels::ConvOutDim(h, kConvKernel, kConvPad);
+  const int64_t out_w = kernels::ConvOutDim(w, kConvKernel, kConvPad);
+  const int64_t patch = in_c * kConvKernel * kConvKernel;
+  const int64_t spatial = out_h * out_w;
+  Tensor y({batch, out_c, out_h, out_w});
+  std::vector<float> cols(patch * spatial);
+  for (int64_t n = 0; n < batch; ++n) {
+    kernels::Im2Col(x.data() + n * in_c * h * w, in_c, h, w, kConvKernel,
+                    kConvPad, cols.data());
+    float* yn = y.data() + n * out_c * spatial;
+    kernels::GemmReference(out_c, spatial, patch, weight.data(), cols.data(),
+                           yn);
+    kernels::AddRowBias(yn, bias.data(), out_c, spatial);
+  }
+  return y;
+}
+
+// Per image: db += rowsum(G), dW += G @ cols^T with the columns lowered
+// again, d(cols) = W^T @ G scattered back by Col2Im.
+Tensor ReferenceConvBackward(const Tensor& x, const Tensor& weight,
+                             const Tensor& grad_out, Tensor* weight_grad,
+                             Tensor* bias_grad) {
+  const int64_t batch = x.dim(0), in_c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int64_t out_c = grad_out.dim(1);
+  const int64_t spatial = grad_out.dim(2) * grad_out.dim(3);
+  const int64_t patch = in_c * kConvKernel * kConvKernel;
+  Tensor grad_in(x.shape());
+  std::vector<float> cols(patch * spatial), grad_cols(patch * spatial);
+  for (int64_t n = 0; n < batch; ++n) {
+    const float* gn = grad_out.data() + n * out_c * spatial;
+    kernels::RowSumsAccum(gn, out_c, spatial, bias_grad->data());
+    kernels::Im2Col(x.data() + n * in_c * h * w, in_c, h, w, kConvKernel,
+                    kConvPad, cols.data());
+    kernels::GemmTransBReference(out_c, patch, spatial, gn, cols.data(),
+                                 weight_grad->data());
+    std::fill(grad_cols.begin(), grad_cols.end(), 0.0f);
+    kernels::GemmTransAReference(patch, spatial, out_c, weight.data(), gn,
+                                 grad_cols.data());
+    kernels::Col2Im(grad_cols.data(), in_c, h, w, kConvKernel, kConvPad,
+                    grad_in.data() + n * in_c * h * w);
+  }
+  return grad_in;
+}
+
+// Runs `steps` forward/backward pairs on fresh inputs (gradients accumulate
+// across them) and checks every output and gradient bit for bit. With
+// `eval_forward` set, each step first runs a training forward on a decoy
+// input and then the eval forward whose Backward is checked.
+void CheckConvAgainstReference(const ConvShape& shape, bool eval_forward) {
+  Rng rng(21 + shape.in_c);
+  Conv2d conv(shape.in_c, shape.out_c, kConvKernel, kConvPad, &rng);
+  std::vector<ParamRef> params;
+  conv.CollectParams("conv", &params);
+  const Tensor& weight = *params[0].value;
+  const Tensor& bias = *params[1].value;
+  Tensor want_wgrad = Tensor::Zeros(weight.shape());
+  Tensor want_bgrad = Tensor::Zeros(bias.shape());
+  for (int step = 0; step < 2; ++step) {
+    const std::vector<int64_t> x_shape = {kConvBatch, shape.in_c, shape.hw,
+                                          shape.hw};
+    if (eval_forward) conv.Forward(Tensor::Randn(x_shape, &rng), true);
+    const Tensor x = Tensor::Randn(x_shape, &rng);
+    const Tensor y = conv.Forward(x, /*train=*/!eval_forward);
+    ASSERT_EQ(y, ReferenceConvForward(x, weight, bias, shape.out_c))
+        << "in_c=" << shape.in_c << " step " << step;
+    const Tensor grad_out = Tensor::Randn(y.shape(), &rng);
+    const Tensor grad_in = conv.Backward(grad_out);
+    ASSERT_EQ(grad_in, ReferenceConvBackward(x, weight, grad_out,
+                                             &want_wgrad, &want_bgrad))
+        << "in_c=" << shape.in_c << " step " << step;
+    ASSERT_EQ(*params[0].grad, want_wgrad) << "step " << step;
+    ASSERT_EQ(*params[1].grad, want_bgrad) << "step " << step;
+  }
+}
+
+TEST(Conv2dTest, TrainStepMatchesPerImageLoweringBitForBit) {
+  for (const ConvShape& shape : kConvNet2Convs) {
+    CheckConvAgainstReference(shape, /*eval_forward=*/false);
+  }
+}
+
+TEST(Conv2dTest, BackwardAfterEvalForwardMatchesPerImageLowering) {
+  for (const ConvShape& shape : kConvNet2Convs) {
+    CheckConvAgainstReference(shape, /*eval_forward=*/true);
+  }
 }
 
 // ---------------------------------------------------------------------------

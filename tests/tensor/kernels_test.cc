@@ -19,14 +19,19 @@ std::vector<float> RandVec(int64_t n, Rng* rng) {
   return v;
 }
 
-// Edge shapes around the register-block sizes (MR=8, NR=32): unit dims, odd
-// dims, exact multiples, just over a tile, and k = 0.
+// Edge shapes around the register-block sizes (MR=8; 32-, 16- and 8-wide
+// column tiles): unit dims, odd dims, exact multiples, just over a tile,
+// k = 0, ConvNet2's lowering GEMMs (silo shape: 1->8 channels on 8x8, 8->16
+// on 4x4), and widths on both sides of each narrow tile.
 struct Shape {
   int64_t m, n, k;
 };
-const Shape kShapes[] = {{1, 1, 1},   {1, 33, 7},  {3, 5, 1},   {8, 32, 16},
-                         {9, 33, 17}, {16, 64, 8}, {17, 70, 40}, {5, 2, 0},
-                         {64, 48, 96}};
+const Shape kShapes[] = {
+    {1, 1, 1},    {1, 33, 7},   {3, 5, 1},    {8, 32, 16},  {9, 33, 17},
+    {16, 64, 8},  {17, 70, 40}, {5, 2, 0},    {64, 48, 96}, {16, 16, 72},
+    {8, 64, 9},   {8, 9, 64},   {9, 64, 8},   {72, 16, 16}, {16, 72, 16},
+    {16, 8, 5},   {16, 15, 5},  {17, 16, 5},  {16, 17, 5},  {8, 24, 5},
+    {9, 40, 5},   {16, 56, 5},  {8, 72, 5},   {24, 13, 0}};
 
 TEST(KernelsTest, GemmMatchesReferenceExactly) {
   Rng rng(101);
