@@ -2,7 +2,7 @@
 // course per population size at 1k / 10k / 100k / 1M descriptor-only
 // participants, cohort fixed at 32. Reports time per round (by
 // differencing a 1-round and a 101-round run, which cancels the
-// O(population) join flood both runs pay at course start; an untimed
+// O(population) descriptor setup both runs pay at course start; an untimed
 // warm-up run first absorbs the allocator/page-fault noise that would
 // otherwise swamp the sub-millisecond round signal) and the process peak
 // RSS after each population's runs.
@@ -168,9 +168,9 @@ int Main(int argc, char** argv) {
   json +=
       "  \"note\": \"virtualized standalone courses, cohort 32, logreg on "
       "procedural data; ms_per_round = (wall_101_rounds - wall_1_round) / 100 "
-      "after an untimed warm-up run, which cancels the O(population) join "
-      "flood; join_setup_ms is the "
-      "1-round wall clock (join flood + 1 round). peak_rss_kb is the "
+      "after an untimed warm-up run, which cancels the O(population) "
+      "descriptor setup; join_setup_ms is the "
+      "1-round wall clock (range joins + 1 round). peak_rss_kb is the "
       "process-wide VmHWM sampled after each population, monotone across "
       "the ascending curve (-1 = unavailable). peak_live_clients counts "
       "concurrently instantiated Clients and must stay within "

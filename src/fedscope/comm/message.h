@@ -34,6 +34,8 @@ class Payload {
   bool HasScalar(const std::string& key) const {
     return scalars_.count(key) > 0;
   }
+  /// Drops a scalar entry; returns true when it existed.
+  bool RemoveScalar(const std::string& key) { return scalars_.erase(key) > 0; }
   int64_t GetInt(const std::string& key, int64_t def = 0) const;
   double GetDouble(const std::string& key, double def = 0.0) const;
   std::string GetString(const std::string& key,

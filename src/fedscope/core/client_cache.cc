@@ -57,15 +57,29 @@ BufferingChannel* ClientCache::Port(int id) {
   return it->second.port.get();
 }
 
-void ClientCache::MarkFinished(int id) {
-  FS_CHECK_GE(id, 1);
-  FS_CHECK_LE(id, population_);
-  FS_CHECK(!IsLive(id));
-  auto sit = suspended_.find(id);
-  if (sit != suspended_.end()) {
-    sit->second.SetInt("finished", 1);
-  } else {
-    finished_[id] = 1;
+std::vector<int> ClientCache::LiveIds() const {
+  std::vector<int> ids;
+  ids.reserve(live_.size());
+  for (const auto& entry : live_) ids.push_back(entry.first);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void ClientCache::MarkFinishedRange(const ClientRange& range) {
+  FS_CHECK_GE(range.first(), 1);
+  FS_CHECK_LE(range.end(), population_ + 1);
+  range.ForEachRun([this](int begin, int end) {
+    std::fill(finished_.begin() + begin, finished_.begin() + end, 1);
+  });
+  // Live clients track the flag themselves; suspended ones carry it in
+  // their resume payload. Both sets are O(capacity)-ish, not O(range).
+  for (const auto& entry : live_) {
+    if (range.Contains(entry.first)) finished_[entry.first] = 0;
+  }
+  for (auto& [id, resume] : suspended_) {
+    if (!range.Contains(id)) continue;
+    resume.SetInt("finished", 1);
+    finished_[id] = 0;
   }
 }
 

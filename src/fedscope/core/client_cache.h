@@ -10,6 +10,7 @@
 
 #include "fedscope/comm/message.h"
 #include "fedscope/core/client.h"
+#include "fedscope/core/client_range.h"
 #include "fedscope/exec/buffering_channel.h"
 
 namespace fedscope {
@@ -65,11 +66,15 @@ class ClientCache {
   /// Threaded-backend port of a live client; FS_CHECK-fails if not live.
   BufferingChannel* Port(int id);
 
-  /// Records a finish delivery for a non-live client without
-  /// instantiating it. Folded into the suspended payload when one
-  /// exists; otherwise a one-bit flag (1M finished clients must not cost
-  /// 1M payloads).
-  void MarkFinished(int id);
+  /// Ids of the live clients, ascending.
+  std::vector<int> LiveIds() const;
+
+  /// Records a finish delivery for every non-live id of `range` without
+  /// instantiating it (live ids are skipped: the caller hands them the
+  /// message). Folded into the suspended payload when one exists;
+  /// otherwise a one-byte flag, set run by run with no per-id lookup (1M
+  /// finished clients must not cost 1M payloads or hash probes).
+  void MarkFinishedRange(const ClientRange& range);
 
   /// Evicts LRU clients beyond capacity, saving resume payloads. Only
   /// call at safe points: after a serial HandleMessage or a parallel

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "fedscope/core/client_range.h"
 #include "fedscope/core/events.h"
 #include "fedscope/core/topology.h"
 #include "fedscope/util/logging.h"
@@ -70,6 +71,21 @@ class DistributedServerHost::Router : public CommChannel {
                       << MessageSummary(msg);
       return;
     }
+    if (IsRangeMessage(msg)) {
+      // Each addressed connection gets its own per-id, epoch-stamped copy,
+      // so the wire protocol stays per-id: TCP clients never see a range.
+      ClientRange::Of(msg).ForEachRun([&](int begin, int end) {
+        for (int id = begin; id < end; ++id) {
+          SendOne(ClientRange::PerIdCopy(msg, id));
+        }
+      });
+      return;
+    }
+    SendOne(msg);
+  }
+
+ private:
+  void SendOne(const Message& msg) {
     std::lock_guard<std::mutex> lock(host_->send_mu_);
     auto it = host_->connections_.find(msg.receiver);
     if (it == host_->connections_.end()) {
@@ -95,7 +111,6 @@ class DistributedServerHost::Router : public CommChannel {
     }
   }
 
- private:
   DistributedServerHost* host_;
 };
 
@@ -346,6 +361,9 @@ ServerStats DistributedServerHost::Run() {
         << "first message must be join_in";
     const int id = hello->sender;
     FS_CHECK_GE(id, 1);
+    // A connection speaks for its own id only: a range join is the
+    // standalone runner's, never a peer's.
+    hello->payload.RemoveScalar(kRangeCountKey);
     if (IsAggregatorId(id)) {
       FS_CHECK_LT(AggregatorShard(id), topology.num_shards)
           << "aggregator " << id << " outside the configured topology";

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "fedscope/comm/codec.h"
+#include "fedscope/core/client_range.h"
 #include "fedscope/core/events.h"
 #include "fedscope/util/logging.h"
 
@@ -258,45 +259,63 @@ void FedRunner::MaybeSnapshotAggregator(EdgeAggregator* agg) {
                  static_cast<double>(written.value()));
 }
 
-void FedRunner::JoinIn(int id) {
-  if (cache_->IsLive(id)) {
-    // Made live through client(id): it may carry changed data.
+void FedRunner::JoinIn() {
+  // A live client was made live through client(id) and may carry changed
+  // data, so it sends its own Client::JoinIn. Every maximal run of
+  // non-live ids between them joins as one range join_in built from the
+  // descriptors — the per-id fields match what each Client::JoinIn would
+  // send (which consumes no client rng), so announcing a 1M-client
+  // population instantiates no Client and queues a handful of messages.
+  // The sends enter at worker_channel_, the decorator stack a live
+  // client's channel feeds.
+  int next = 1;
+  auto join_run = [this, &next](int end) {
+    if (next >= end) return;
+    JoinRun run;
+    run.first = next;
+    std::vector<DeviceProfile> devices;
+    devices.reserve(end - next);
+    run.num_train.reserve(end - next);
+    for (int id = next; id < end; ++id) {
+      devices.push_back(DeriveClientOptions(id).device);
+      run.num_train.push_back(job_.provider->TrainSize(id));
+    }
+    run.resp_scores = ResponsivenessScores(devices);
+    worker_channel_->Send(MakeRangeJoin(run));
+  };
+  for (int id : cache_->LiveIds()) {
+    join_run(id);
     cache_->Get(id)->JoinIn();
-    return;
+    next = id + 1;
   }
-  // Synthesized from the descriptor — byte-identical to Client::JoinIn
-  // (which consumes no client rng) — so announcing a 1M-client population
-  // instantiates no Client. The send enters at worker_channel_, the same
-  // decorator stack a live client's channel feeds.
-  Message msg;
-  msg.sender = id;
-  msg.receiver = kServerId;
-  msg.msg_type = events::kJoinIn;
-  msg.timestamp = 0.0;
-  const ClientOptions options = DeriveClientOptions(id);
-  msg.payload.SetDouble("resp_score",
-                        ResponsivenessScores({options.device})[0]);
-  msg.payload.SetInt("num_train", job_.provider->TrainSize(id));
-  worker_channel_->Send(std::move(msg));
+  join_run(population_ + 1);
 }
 
 void FedRunner::DeliverToClient(const Message& msg) {
-  if (!cache_->IsLive(msg.receiver)) {
-    // State-free deliveries to non-live clients skip instantiation. Safe
-    // because a non-live client runs the default handlers, which make
-    // them unobservable: OnFinish only sets the finished flag (recorded in
-    // the cache), the assign_id handler is a no-op, and neither consumes
-    // the client rng. The virtual-clock advance is unobservable too — the
-    // queue delivers in non-decreasing timestamp order, so no later reply
-    // is ever clamped by it.
-    if (msg.msg_type == events::kFinish) {
-      cache_->MarkFinished(msg.receiver);
-      return;
-    }
-    if (msg.msg_type == events::kAssignId) return;
+  if (msg.msg_type != events::kFinish && msg.msg_type != events::kAssignId) {
+    FS_CHECK(!IsRangeMessage(msg))
+        << "only control messages are range-addressed: "
+        << MessageSummary(msg);
+    cache_->Get(msg.receiver)->HandleMessage(msg);
+    cache_->Trim();
+    return;
   }
-  cache_->Get(msg.receiver)->HandleMessage(msg);
-  cache_->Trim();
+  // finish and assign_id, per-id or range-addressed (a plain message is a
+  // range of one). Each live addressee handles its own per-id copy, in
+  // ascending id order. Non-live addressees skip instantiation: they run
+  // the default handlers, which make these deliveries unobservable —
+  // OnFinish only sets the finished flag (recorded in the cache), the
+  // assign_id handler is a no-op, and neither consumes the client rng.
+  // The virtual-clock advance is unobservable too: the queue delivers in
+  // non-decreasing timestamp order, so no later reply is ever clamped by
+  // it.
+  const ClientRange range = ClientRange::Of(msg);
+  for (int id : cache_->LiveIds()) {
+    if (range.Contains(id)) {
+      cache_->Get(id)->HandleMessage(ClientRange::PerIdCopy(msg, id));
+    }
+  }
+  if (msg.msg_type == events::kFinish) cache_->MarkFinishedRange(range);
 }
 
 void FedRunner::Send(const Message& msg) {
@@ -327,6 +346,8 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
   while (batch < limit) {
     const int receiver = ready[batch]->receiver;
     if (receiver < 1 || receiver > population_) break;
+    // A range-addressed control message fans out on the pump thread.
+    if (IsRangeMessage(*ready[batch])) break;
     // A delivery to a non-live client stays on the pump thread (it may
     // instantiate, restore, or short-circuit — all cache mutations). The
     // serial step handles it; by the next stage the client is live and
@@ -503,7 +524,7 @@ RunResult FedRunner::Run() {
   // Building up: every client requests to join at t = 0. Standby
   // aggregators arm their failure watchdogs (no-op for active slots).
   for (auto& agg : aggregators_) agg->StartWatchdog();
-  for (int id = 1; id <= population_; ++id) JoinIn(id);
+  JoinIn();
 
   // Pump the virtual-time event loop. Messages to finished/unknown workers
   // are dropped. The loop ends when the course terminated and the queue
@@ -524,7 +545,13 @@ RunResult FedRunner::Run() {
       continue;
     }
     Message msg = queue_.Pop();
-    if (job_.suppress_duplicates && dedup_.IsDuplicate(msg)) continue;
+    // Range messages are control-plane, which the fault plan never
+    // duplicates; keeping their (up to megabytes of) payload as a pair's
+    // last-seen entry would only pin memory.
+    if (job_.suppress_duplicates && !IsRangeMessage(msg) &&
+        dedup_.IsDuplicate(msg)) {
+      continue;
+    }
     // Crash drill: kill the server between deliveries — the instant a real
     // process could die with a queued-up transport.
     if (delivered == job_.fault.server_crash_at_event) {

@@ -187,7 +187,7 @@ class FedRunner : public CommChannel {
 
   void BuildWorkers();
   /// Client `id`'s effective options — base + fleet device + forked seed +
-  /// customizer — derived identically by the synthesized join and every
+  /// customizer — derived identically by the range join and every
   /// (re-)instantiation.
   ClientOptions DeriveClientOptions(int id) const;
   /// Factory for the cache: builds client `id` (port included on the
@@ -196,11 +196,14 @@ class FedRunner : public CommChannel {
   /// Effective cache capacity: client_cache_capacity, else the auto bound
   /// under virtualize, else the population.
   int CacheCapacity() const;
-  /// Sends client `id`'s join_in: its own when it is live, else one
-  /// synthesized from its descriptor.
-  void JoinIn(int id);
-  /// Delivers a pump-loop message to a (possibly non-live) client,
-  /// short-circuiting state-free deliveries past instantiation.
+  /// Announces the population at Run(): each live client sends its own
+  /// join_in, and each maximal run of non-live ids between them one range
+  /// join_in built from descriptors (DESIGN.md §13).
+  void JoinIn();
+  /// Delivers a pump-loop message to its (possibly non-live) client. A
+  /// finish or assign_id, per-id or range-addressed, reaches each live
+  /// addressee as its own per-id copy and is applied to non-live ones
+  /// without instantiating them.
   void DeliverToClient(const Message& msg);
   /// Threaded backend: forms the maximal batch of equal-virtual-time
   /// client-targeted deliveries at the queue front, handles them on the

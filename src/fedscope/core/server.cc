@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fedscope/comm/compression.h"
+#include "fedscope/core/client_range.h"
 #include "fedscope/core/events.h"
 #include "fedscope/obs/obs_context.h"
 #include "fedscope/util/logging.h"
@@ -116,7 +117,9 @@ void Server::RegisterDefaultHandlers() {
 
 void Server::OnJoinIn(const Message& msg) {
   if (started_) {
-    if (clients_.Contains(msg.sender)) {
+    // Re-join stays per-id: only a client process that lost its server
+    // re-joins, and it speaks for itself.
+    if (!IsRangeMessage(msg) && clients_.Contains(msg.sender)) {
       // Re-join after a server restart (DESIGN.md §10): the sender is
       // already a member. Re-ack its id so its transport adopts the new
       // session epoch; if the snapshot has it mid-training, restart its
@@ -143,18 +146,23 @@ void Server::OnJoinIn(const Message& msg) {
     FS_LOG(Warning) << "join_in from invalid client id " << msg.sender;
     return;
   }
-  clients_.Insert(msg.sender);
-  const int idx = msg.sender - 1;
-  if (idx >= static_cast<int>(resp_scores_.size())) {
-    resp_scores_.resize(idx + 1, 1.0);
+  // A plain join_in (Client::JoinIn) is a range of one: register every
+  // announced id, then answer the whole run with one assign_id.
+  const JoinRun run = ReadJoinRun(msg);
+  const int count = static_cast<int>(run.resp_scores.size());
+  const size_t end_idx = static_cast<size_t>(run.first - 1 + count);
+  if (end_idx > resp_scores_.size()) resp_scores_.resize(end_idx, 1.0);
+  for (int i = 0; i < count; ++i) {
+    clients_.Insert(run.first + i);
+    resp_scores_[run.first - 1 + i] = run.resp_scores[i];
   }
-  resp_scores_[idx] = msg.payload.GetDouble("resp_score", 1.0);
 
   Message ack;
   ack.receiver = msg.sender;
   ack.msg_type = events::kAssignId;
   ack.timestamp = msg.timestamp;
   ack.payload.SetInt("assigned_id", msg.sender);
+  if (IsRangeMessage(msg)) ClientRange(run.first, count).Stamp(&ack);
   Send(std::move(ack));
 
   if (options_.expected_clients > 0 &&
@@ -1047,14 +1055,22 @@ void Server::FinishCourse(const Message& context) {
       Send(std::move(msg));
     });
   }
-  clients_.ForEach([&](int id) {
+  // One range-addressed finish dismisses every member: [1, bound()] minus
+  // the gaps (never joined, failed, quarantined), the same shape
+  // SampleIdle draws from. Transports hand each member its own per-id
+  // copy.
+  if (clients_.size() > 0) {
+    const std::vector<int> gaps = clients_.Gaps();
     Message msg;
-    msg.receiver = id;
+    msg.receiver = 1;
     msg.msg_type = events::kFinish;
     msg.state = round_;
     msg.timestamp = context.timestamp;
+    ClientRange(1, clients_.bound(),
+                std::vector<int64_t>(gaps.begin(), gaps.end()))
+        .Stamp(&msg);
     Send(std::move(msg));
-  });
+  }
   // Dismiss the edge aggregators too (stops standby watchdog timers).
   for (int shard = 0; shard < options_.topology.num_shards; ++shard) {
     for (int slot = 0; slot <= options_.topology.standbys_per_shard; ++slot) {

@@ -198,6 +198,11 @@ class Server : public BaseWorker {
 
  private:
   void RegisterDefaultHandlers();
+  /// Registers the clients a join_in announces — a range join's run, or
+  /// the sender of a plain one — answers with one assign_id (range-
+  /// addressed for a range join), and raises all_joined_in once the
+  /// expected population is in. After the start, a plain join_in from a
+  /// member is a re-join (DESIGN.md §10).
   void OnJoinIn(const Message& msg);
   void OnModelUpdate(const Message& msg);
   void OnTimer(const Message& msg);
@@ -237,6 +242,10 @@ class Server : public BaseWorker {
   /// it feeds the course log and aggregation metrics.
   void StartTraining(const Message& context);
   void PerformAggregation(const std::string& trigger, const Message& context);
+  /// Ends the course: optional per-id evaluate requests, then one
+  /// range-addressed finish covering [1, clients_.bound()] minus
+  /// clients_.Gaps() (every member, no failed or quarantined client), and
+  /// one finish per edge aggregator.
   void FinishCourse(const Message& context);
   /// Flushes the pending-round observability accumulators into the course
   /// log / metrics / tracer after an aggregation (obs-attached runs only).

@@ -15,7 +15,7 @@ namespace fedscope {
 /// client is reclaimed. Implementations must be
 /// deterministic: MaterializeClient(id) returns bit-identical splits on
 /// every call, and TrainSize(id) equals the materialized train size
-/// without building it (it feeds the synthesized join_in).
+/// without building it (it feeds the range join_in).
 class ClientDataProvider {
  public:
   virtual ~ClientDataProvider() = default;

@@ -1,5 +1,6 @@
 #include "fedscope/testing/oracles.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -7,8 +8,10 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "fedscope/comm/socket_transport.h"
+#include "fedscope/core/client_range.h"
 #include "fedscope/core/distributed.h"
 #include "fedscope/core/events.h"
 #include "fedscope/personalization/fedbn.h"
@@ -99,6 +102,61 @@ std::string StripVirtualSeries(const std::string& text) {
   return out.str();
 }
 
+/// Series a pre-live subset changes by construction, dropped by name
+/// from a Prometheus exposition: the join_in and assign_id per-type
+/// series, whose counts follow how the joins split,
+/// and the two totals those counts feed — delivered messages and the
+/// queue-depth high-water mark (the join phase queues one message per
+/// join). The delivered total is checked exactly instead, net of joins
+/// and acks.
+std::string StripJoinSeries(const std::string& text) {
+  static const char* const kDropped[] = {
+      "type=\"join_in\"", "type=\"assign_id\"",
+      "fs_course_messages_delivered", "fs_sim_queue_depth_peak"};
+  std::istringstream in(text);
+  std::ostringstream out;
+  std::string line;
+  while (std::getline(in, line)) {
+    bool keep = true;
+    for (const char* dropped : kDropped) {
+      if (line.find(dropped) != std::string::npos) keep = false;
+    }
+    if (keep) out << line << "\n";
+  }
+  return out.str();
+}
+
+/// Join messages a population of `population` sends when `live` (ascending)
+/// are live at Run(): one per live client plus one per maximal run of
+/// non-live ids.
+int64_t ExpectedJoins(const std::vector<int>& live, int population) {
+  int64_t joins = 0;
+  int next = 1;
+  for (int id : live) {
+    if (next < id) ++joins;
+    ++joins;
+    next = id + 1;
+  }
+  if (next <= population) ++joins;
+  return joins;
+}
+
+/// The seeded pre-live subsets of the sweep: one client, and a scattered
+/// handful (up to four distinct ids).
+std::vector<std::vector<int>> PreliveSubsets(const CourseSpec& spec) {
+  const int population = spec.EffectiveClients();
+  Rng rng = Rng(spec.seed).Fork(0x9e11);
+  std::vector<std::vector<int>> subsets;
+  subsets.push_back({static_cast<int>(rng.UniformInt(1, population))});
+  std::vector<int> handful;
+  for (int64_t idx : rng.SampleWithoutReplacement(
+           population, std::min(population, 4))) {
+    handful.push_back(static_cast<int>(idx) + 1);
+  }
+  subsets.push_back(std::move(handful));
+  return subsets;
+}
+
 }  // namespace
 
 int AutoCacheCapacity(const CourseSpec& spec) {
@@ -121,7 +179,8 @@ std::string FormatViolations(const std::vector<Violation>& violations) {
 CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
                                         int64_t crash_at_event,
                                         int exec_threads, int cache_capacity,
-                                        std::string* metrics_export) {
+                                        std::string* metrics_export,
+                                        const std::vector<int>& prelive) {
   auto fixture = MakeCourseFixture(spec);
   FedJob job = fixture->MakeJob();
   job.fault.server_crash_at_event = crash_at_event;
@@ -146,10 +205,17 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
   // runner so the crash drill's server replacement cannot dangle it.
   const bool hostile_watch = spec.Hostile();
   FedRunner* live_runner = nullptr;
-  job.send_tap = [&obs](const Message&) { ++obs.sent; };
+  job.send_tap = [&obs](const Message& msg) {
+    ++obs.sent;
+    if (msg.msg_type == events::kJoinIn && !IsRangeMessage(msg)) {
+      obs.own_joins.push_back(msg.sender);
+    }
+  };
   job.delivery_tap = [&obs, &last_delivery_time, hostile_watch,
                       &live_runner](const Message& msg) {
     ++obs.delivered;
+    if (msg.msg_type == events::kJoinIn) ++obs.joins_delivered;
+    if (msg.msg_type == events::kAssignId) ++obs.acks_delivered;
     if (msg.timestamp < last_delivery_time && obs.time_regression.empty()) {
       std::ostringstream out;
       out << "delivery #" << obs.delivered << " (" << msg.msg_type << " "
@@ -167,6 +233,7 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
 
   FedRunner runner(std::move(job));
   live_runner = &runner;
+  for (int id : prelive) runner.client(id);
   obs.result = runner.Run();
   obs.finished = runner.server()->finished();
   obs.suppressed = runner.duplicates_suppressed();
@@ -180,6 +247,7 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
   }
   obs.cache = runner.client_cache()->stats();
   if (metrics_export != nullptr) *metrics_export = metrics.PrometheusText();
+  std::sort(obs.own_joins.begin(), obs.own_joins.end());
   return obs;
 }
 
@@ -640,6 +708,89 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
             "cache_capacity_sweep",
             tag + Vs("peak live clients outside [1, capacity + 1]", bound,
                      vv.cache.live_peak));
+    }
+
+    // Pre-live subset sweep: clients made live before Run() send their own
+    // join_in and split the range joins around them. Per-id and range
+    // joins must announce the same population, so the course may differ
+    // from the reference only in its join_in / assign_id traffic — whose
+    // count is pinned exactly: one join per live client plus one per run
+    // of descriptors, each acked once.
+    Check(&v,
+          e.joins_delivered == ExpectedJoins(e.own_joins, population) &&
+              e.acks_delivered == e.joins_delivered,
+          "prelive_join_sweep",
+          Vs("reference join_in deliveries",
+             ExpectedJoins(e.own_joins, population), e.joins_delivered) +
+              " / " + Vs("assign_id", e.joins_delivered, e.acks_delivered));
+    const std::string ref_join_free = StripJoinSeries(ref_metrics);
+    for (const std::vector<int>& prelive : PreliveSubsets(spec)) {
+      std::string tag = "prelive {";
+      for (int id : prelive) tag += " " + std::to_string(id);
+      tag += " }: ";
+      std::string metrics;
+      CourseObservation pl =
+          RunInstrumentedCourse(spec, -1, options.exec_threads, population,
+                                &metrics, prelive);
+      // Every pre-live client speaks for itself (capacity = population,
+      // so none was evicted before Run()).
+      for (int id : prelive) {
+        Check(&v,
+              std::binary_search(pl.own_joins.begin(), pl.own_joins.end(),
+                                 id),
+              "prelive_join_sweep",
+              tag + "client " + std::to_string(id) +
+                  " did not send its own join_in");
+      }
+      const int64_t joins = ExpectedJoins(pl.own_joins, population);
+      Check(&v, pl.joins_delivered == joins && pl.acks_delivered == joins,
+            "prelive_join_sweep",
+            tag + Vs("join_in deliveries", joins, pl.joins_delivered) +
+                " / " + Vs("assign_id", joins, pl.acks_delivered));
+      Check(&v, pl.finished == e.finished, "prelive_join_sweep",
+            tag + "termination differs");
+      Check(&v,
+            StateDictsBitEqual(e.result.final_model.GetStateDict(),
+                               pl.result.final_model.GetStateDict(), &detail),
+            "prelive_join_sweep", tag + "final model differs: " + detail);
+      Check(&v, e.result.server.curve == pl.result.server.curve,
+            "prelive_join_sweep", tag + "accuracy curve differs");
+      Check(&v,
+            e.result.client_test_accuracy == pl.result.client_test_accuracy,
+            "prelive_join_sweep", tag + "client accuracies differ");
+      Check(&v,
+            e.result.server.rounds == pl.result.server.rounds &&
+                e.result.server.staleness_log ==
+                    pl.result.server.staleness_log &&
+                e.result.server.agg_count == pl.result.server.agg_count,
+            "prelive_join_sweep", tag + "round structure differs");
+      // Joins and acks are never faulted, so sends and deliveries net of
+      // the join phase must match the reference exactly.
+      const int64_t ref_join_phase = e.joins_delivered + e.acks_delivered;
+      const int64_t join_phase = pl.joins_delivered + pl.acks_delivered;
+      Check(&v,
+            e.sent - ref_join_phase == pl.sent - join_phase &&
+                e.delivered - ref_join_phase == pl.delivered - join_phase,
+            "prelive_join_sweep",
+            tag + Vs("sends net of joins and acks", e.sent - ref_join_phase,
+                     pl.sent - join_phase) +
+                " / " +
+                Vs("deliveries net of joins and acks",
+                   e.delivered - ref_join_phase, pl.delivered - join_phase));
+      Check(&v, e.suppressed == pl.suppressed, "prelive_join_sweep",
+            tag + Vs("suppressed differs", e.suppressed, pl.suppressed));
+      Check(&v,
+            e.fault.dropout_suppressed == pl.fault.dropout_suppressed &&
+                e.fault.crashes == pl.fault.crashes &&
+                e.fault.lost == pl.fault.lost &&
+                e.fault.duplicated == pl.fault.duplicated &&
+                e.fault.delayed == pl.fault.delayed &&
+                e.fault.aggregator_dropped == pl.fault.aggregator_dropped,
+            "prelive_join_sweep", tag + "fault-plan counters differ");
+      Check(&v,
+            StripJoinSeries(StripVirtualSeries(metrics)) == ref_join_free,
+            "prelive_join_sweep",
+            tag + "metrics exposition differs beyond the join series");
     }
 
     // Crash drill at the auto capacity — oracle 8 with evictions: the

@@ -46,6 +46,12 @@ struct CourseObservation {
   CourseLog course_log;
   /// Virtualized runs only: the client-cache counters at course end.
   ClientCacheStats cache;
+  /// Senders of plain join_in messages, ascending: the clients live when
+  /// Run() started, which speak for themselves.
+  std::vector<int> own_joins;
+  /// join_in and assign_id deliveries (per message: a range join is one).
+  int64_t joins_delivered = 0;
+  int64_t acks_delivered = 0;
   /// Hostile-client set drawn by the fault plan (empty for benign specs).
   std::set<int> hostile;
   /// model_update deliveries carrying a non-finite tensor while the course
@@ -63,12 +69,15 @@ struct CourseObservation {
 /// ClientCache (FedJob::client_cache_capacity, DESIGN.md §13); 0 keeps the
 /// job's default, the whole population. A non-null `metrics_export`
 /// attaches a private MetricsRegistry and stores its Prometheus exposition
-/// after the run.
+/// after the run. Every id in `prelive` is made live through
+/// FedRunner::client before Run(), so it sends its own join_in and splits
+/// the range joins around it.
 CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
                                         int64_t crash_at_event = -1,
                                         int exec_threads = 0,
                                         int cache_capacity = 0,
-                                        std::string* metrics_export = nullptr);
+                                        std::string* metrics_export = nullptr,
+                                        const std::vector<int>& prelive = {});
 
 /// The client-cache capacity FedRunner picks for the spec's course under
 /// FedJob::virtualize: the cohort (concurrency, inflated by over-selection)
@@ -128,7 +137,11 @@ bool DistributedEligible(const CourseSpec& spec);
 ///      round structure, and the metrics exposition (up to the
 ///      fs_virtual_* cache gauges); peak live clients must stay within
 ///      capacity + 1, and the crash drill at the auto capacity must resume
-///      bit-identically too,
+///      bit-identically too. The pre-live sweep then makes a seeded
+///      subset of clients live before Run() — one, and a scattered
+///      handful — so the joins split into per-id joins and several range
+///      joins, and requires the same course again (up to the join_in /
+///      assign_id series, whose message counts the split changes),
 ///  13. guard transparency (benign specs, DESIGN.md §14): a pure-screening
 ///      ingress guard (no norm bound) over a course with zero hostile
 ///      clients must be bit-invisible — final model, curve, counters,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "fedscope/core/client.h"
+#include "fedscope/core/client_range.h"
 #include "fedscope/core/events.h"
 #include "fedscope/core/server.h"
 #include "fedscope/nn/model_zoo.h"
@@ -358,6 +359,115 @@ TEST(ServerTest, JoinFlowAcksAndStarts) {
   EXPECT_EQ(acks, 3);
   EXPECT_EQ(broadcasts, 2);
   EXPECT_EQ(server->round(), 0);
+}
+
+TEST(ServerTest, RangeJoinRegistersTheRunWithOneAck) {
+  QueueChannel channel;
+  ServerOptions options;
+  options.expected_clients = 5;
+  options.concurrency = 2;
+  auto server = MakeServer(&channel, options);
+  server->HandleMessage(JoinFrom(1));
+  JoinRun run;
+  run.first = 2;
+  run.resp_scores = {0.5, 1.5, 2.5, 3.5};
+  run.num_train = {10, 20, 30, 40};
+  server->HandleMessage(MakeRangeJoin(run));
+  EXPECT_EQ(server->joined_clients(), 5);
+  // One plain ack for the plain join, one range ack for the run, then the
+  // first cohort.
+  std::vector<Message> acks;
+  int broadcasts = 0;
+  while (!channel.Empty()) {
+    Message m = channel.Pop();
+    if (m.msg_type == events::kAssignId) acks.push_back(m);
+    if (m.msg_type == events::kModelPara) ++broadcasts;
+  }
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_FALSE(IsRangeMessage(acks[0]));
+  EXPECT_EQ(acks[0].receiver, 1);
+  ASSERT_TRUE(IsRangeMessage(acks[1]));
+  const ClientRange acked = ClientRange::Of(acks[1]);
+  EXPECT_EQ(acked.first(), 2);
+  EXPECT_EQ(acked.size(), 4);
+  // Each member's copy reads as the per-id ack it stands for.
+  const Message copy = ClientRange::PerIdCopy(acks[1], 4);
+  EXPECT_FALSE(IsRangeMessage(copy));
+  EXPECT_EQ(copy.receiver, 4);
+  EXPECT_EQ(copy.payload.GetInt("assigned_id"), 4);
+  EXPECT_EQ(broadcasts, 2);
+}
+
+TEST(ServerTest, FinishCoversExactlyTheMembers) {
+  // Members that failed or were quarantined leave the course; the one
+  // range-addressed finish must address every other member and neither of
+  // them.
+  QueueChannel channel;
+  ServerOptions options;
+  options.expected_clients = 6;
+  options.concurrency = 2;
+  options.max_rounds = 5;
+  options.target_accuracy = 0.5;
+  options.guard.enabled = true;
+  options.guard.quarantine_after = 1;
+  auto server = MakeServer(&channel, options);
+  server->set_evaluator([](Model*) {
+    EvalResult r;
+    r.accuracy = 0.9;  // the first aggregation reaches the target
+    return r;
+  });
+  for (int id = 1; id <= 6; ++id) server->HandleMessage(JoinFrom(id));
+  auto drain_cohort = [&channel] {
+    std::vector<int> cohort;
+    while (!channel.Empty()) {
+      Message m = channel.Pop();
+      if (m.msg_type == events::kModelPara) cohort.push_back(m.receiver);
+    }
+    return cohort;
+  };
+  std::vector<int> cohort = drain_cohort();
+  ASSERT_EQ(cohort.size(), 2u);
+
+  // An idle member fails.
+  int failed = 1;
+  while (failed == cohort[0] || failed == cohort[1]) ++failed;
+  Message failure;
+  failure.sender = failed;
+  failure.receiver = kServerId;
+  failure.msg_type = events::kClientFailure;
+  server->HandleMessage(failure);
+
+  // A cohort member sends poison and is quarantined; its slot is refilled.
+  Model ref = TestModel(7);
+  const int poisoner = cohort[0];
+  server->HandleMessage(UpdateFrom(poisoner, 0, &ref,
+                                   std::numeric_limits<float>::quiet_NaN()));
+  ASSERT_EQ(server->stats().quarantined, std::vector<int>{poisoner});
+  std::vector<int> refill = drain_cohort();
+  ASSERT_EQ(refill.size(), 1u);
+
+  server->HandleMessage(UpdateFrom(cohort[1], 0, &ref, 0.1f));
+  server->HandleMessage(UpdateFrom(refill[0], 0, &ref, 0.1f));
+  ASSERT_TRUE(server->finished());
+
+  std::vector<Message> finishes;
+  while (!channel.Empty()) {
+    Message m = channel.Pop();
+    if (m.msg_type == events::kFinish) finishes.push_back(m);
+  }
+  ASSERT_EQ(finishes.size(), 1u);
+  ASSERT_TRUE(IsRangeMessage(finishes[0]));
+  const ClientRange members = ClientRange::Of(finishes[0]);
+  EXPECT_EQ(members.size(), 4);
+  for (int id = 1; id <= 6; ++id) {
+    EXPECT_EQ(members.Contains(id), id != failed && id != poisoner)
+        << "client " << id;
+  }
+  // The per-id copy is the plain finish a member always got.
+  const Message copy = ClientRange::PerIdCopy(finishes[0], cohort[1]);
+  EXPECT_FALSE(IsRangeMessage(copy));
+  EXPECT_EQ(copy.receiver, cohort[1]);
+  EXPECT_EQ(copy.state, server->round());
 }
 
 TEST(ServerTest, SyncAggregatesWhenAllReceived) {

@@ -64,9 +64,11 @@ TEST(CrashRecoveryTest, StandaloneCrashResumeIsBitIdentical) {
 
   RunResult baseline = FedRunner(MakeStandaloneJob(&data)).Run();
 
-  // Crash at the very first delivery (restores a round-0 snapshot), in the
-  // thick of training, and late in the course.
-  for (const int64_t crash_at : {int64_t{0}, int64_t{7}, int64_t{51}}) {
+  // Crash at the very first delivery (restores a round-0 snapshot), between
+  // the two joins (client 1's own, then the range join of clients 2..20),
+  // in the thick of training, and late in the course.
+  for (const int64_t crash_at :
+       {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{51}}) {
     FedJob job = MakeStandaloneJob(&data);
     job.fault.server_crash_at_event = crash_at;
     FedRunner runner(std::move(job));
@@ -98,7 +100,8 @@ TEST(CrashRecoveryTest, VirtualizedCrashResumeIsBitIdentical) {
   // is killed and restored while the live-client cache holds only about a
   // cohort. Suspended clients are untouched by the server restore, so
   // resume must still be bit-identical to the uninterrupted no-evict run.
-  for (const int64_t crash_at : {int64_t{0}, int64_t{7}, int64_t{51}}) {
+  for (const int64_t crash_at :
+       {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{51}}) {
     FedJob job = MakeStandaloneJob(&data);
     job.virtualize = true;
     job.fault.server_crash_at_event = crash_at;

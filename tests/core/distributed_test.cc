@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "fedscope/comm/socket_transport.h"
+#include "fedscope/core/client_range.h"
 #include "fedscope/core/distributed_aggregator.h"
 #include "fedscope/core/events.h"
 #include "fedscope/nn/model_zoo.h"
@@ -168,6 +170,92 @@ TEST(DistributedTest, FourClientFedAvgOverTcp) {
   EXPECT_EQ(stats.rounds, 6);
   EXPECT_GT(stats.final_accuracy, 0.85);  // the course actually learned
   EXPECT_EQ(stats.curve.size(), 6u);
+}
+
+TEST(DistributedTest, RouterHandsEachClientItsOwnFinish) {
+  // The server ends the course with one range-addressed finish; the router
+  // expands it into a per-id, epoch-stamped copy per connection, so every
+  // peer sees the unchanged per-id wire protocol. The peers here are raw
+  // sockets that record every frame they receive.
+  constexpr int kClients = 3;
+  Rng init_rng(6);
+  Model init = MakeLogisticRegression(2, 2, &init_rng);
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  const int port = listener->port();
+
+  ServerOptions server_options;
+  server_options.strategy = Strategy::kSyncVanilla;
+  server_options.concurrency = kClients;
+  server_options.expected_clients = kClients;
+  server_options.max_rounds = 2;
+  server_options.seed = 7;
+  DistributedServerHost server_host(
+      server_options, init, std::make_unique<FedAvgAggregator>(),
+      std::move(listener.value()));
+  ServerStats stats;
+  std::thread server_thread([&] { stats = server_host.Run(); });
+
+  std::vector<std::vector<Message>> received(kClients);
+  std::vector<std::thread> peers;
+  for (int id = 1; id <= kClients; ++id) {
+    peers.emplace_back([&received, port, id] {
+      auto conn = TcpConnection::Connect("127.0.0.1", port);
+      ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+      Message join;
+      join.sender = id;
+      join.receiver = kServerId;
+      join.msg_type = events::kJoinIn;
+      join.payload.SetDouble("resp_score", 1.0);
+      join.payload.SetInt("num_train", 10);
+      ASSERT_TRUE(conn->SendMessage(join).ok());
+      while (true) {
+        auto msg = conn->ReceiveMessage();
+        ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+        received[id - 1].push_back(msg.value());
+        if (msg->msg_type == events::kFinish) return;
+        if (msg->msg_type != events::kModelPara) continue;
+        // A zero update keeps the round moving.
+        StateDict delta = msg->payload.GetStateDict("model");
+        for (auto& [name, tensor] : delta) {
+          for (int64_t k = 0; k < tensor.numel(); ++k) tensor.at(k) = 0.0f;
+        }
+        Message reply;
+        reply.sender = id;
+        reply.receiver = kServerId;
+        reply.msg_type = events::kModelUpdate;
+        reply.state = msg->state;
+        reply.payload.SetStateDict("delta", delta);
+        reply.payload.SetInt("num_samples", 10);
+        reply.payload.SetInt(kSessionEpochKey,
+                             msg->payload.GetInt(kSessionEpochKey, -1));
+        ASSERT_TRUE(conn->SendMessage(reply).ok());
+      }
+    });
+  }
+  for (auto& peer : peers) peer.join();
+  server_thread.join();
+
+  EXPECT_EQ(stats.rounds, 2);
+  for (int id = 1; id <= kClients; ++id) {
+    const std::vector<Message>& frames = received[id - 1];
+    int finishes = 0;
+    int acks = 0;
+    for (const Message& msg : frames) {
+      EXPECT_EQ(msg.receiver, id);
+      EXPECT_FALSE(IsRangeMessage(msg)) << msg.msg_type;
+      EXPECT_EQ(msg.payload.GetInt(kSessionEpochKey, -1), 0);
+      if (msg.msg_type == events::kFinish) ++finishes;
+      if (msg.msg_type == events::kAssignId) {
+        ++acks;
+        EXPECT_EQ(msg.payload.GetInt("assigned_id"), id);
+      }
+    }
+    EXPECT_EQ(finishes, 1) << "client " << id;
+    EXPECT_EQ(acks, 1) << "client " << id;
+    ASSERT_FALSE(frames.empty());
+    EXPECT_EQ(frames.back().msg_type, events::kFinish) << "client " << id;
+  }
 }
 
 TEST(DistributedTest, ObservabilityOverTcp) {

@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <utility>
+#include <vector>
 
 #include "fedscope/comm/codec.h"
 #include "fedscope/core/client_cache.h"
+#include "fedscope/core/client_range.h"
+#include "fedscope/core/events.h"
 #include "fedscope/core/fed_runner.h"
 #include "fedscope/testing/course_gen.h"
 #include "fedscope/testing/oracles.h"
@@ -195,6 +199,61 @@ TEST_F(VirtualizationTest, CapacityOneEvictionRestoresIdenticalState) {
   Payload after;
   runner.client(1)->ExportResume(&after);
   EXPECT_EQ(EncodePayload(before), EncodePayload(after));
+}
+
+// ---------------------------------------------------------------------------
+// One range-addressed finish reaches exactly the members
+// ---------------------------------------------------------------------------
+
+TEST_F(VirtualizationTest, RangeFinishMarksExactlyTheMembers) {
+  // A guarded course with NaN-poisoning clients quarantines some of them.
+  // The course ends with one finish covering the remaining members: each
+  // live member handles its own copy (OnFinish), each non-live member is
+  // marked finished in the cache, and no quarantined client is either.
+  CourseSpec spec = BaseSpec();
+  spec.max_rounds = 6;
+  spec.hostile_frac = 0.25;
+  spec.hostile_mode = "nan";
+  spec.guard = true;
+  spec.guard_k = 1;
+  spec = CourseGen::Clamp(spec);
+  auto fixture = MakeCourseFixture(spec);
+  FedJob job = fixture->MakeJob();
+  job.virtualize = true;
+  job.deploy_eval = false;
+  std::vector<Message> finishes;
+  job.delivery_tap = [&finishes](const Message& msg) {
+    if (msg.msg_type == events::kFinish && !IsAggregatorId(msg.receiver)) {
+      finishes.push_back(msg);
+    }
+  };
+  FedRunner runner(std::move(job));
+  const RunResult result = runner.Run();
+  ASSERT_TRUE(runner.server()->finished());
+  const std::set<int> quarantined(result.server.quarantined.begin(),
+                                  result.server.quarantined.end());
+  ASSERT_FALSE(quarantined.empty());
+
+  ASSERT_EQ(finishes.size(), 1u);
+  const ClientRange members = ClientRange::Of(finishes[0]);
+  const int population = spec.EffectiveClients();
+  for (int id = 1; id <= population; ++id) {
+    EXPECT_EQ(members.Contains(id), quarantined.count(id) == 0)
+        << "client " << id;
+  }
+
+  // Live clients first: reading them evicts no one.
+  const std::vector<int> live = runner.client_cache()->LiveIds();
+  ASSERT_FALSE(live.empty());
+  for (int id : live) {
+    EXPECT_EQ(runner.client(id)->finished(), members.Contains(id))
+        << "live client " << id;
+  }
+  // Every other client restores its finished state from the cache.
+  for (int id = 1; id <= population; ++id) {
+    EXPECT_EQ(runner.client(id)->finished(), members.Contains(id))
+        << "client " << id;
+  }
 }
 
 }  // namespace
