@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -70,6 +71,40 @@ void BM_Conv2dBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dBackward);
+
+// MaxPool2d at coursebench silo_convnet's two pools: arg 8 is pool1
+// ([16, 8, 8, 8], 8-wide rows), arg 4 is pool2 ([16, 16, 4, 4]). ReLU-style
+// input, so most windows tie at zero as they do in training.
+void BM_MaxPool2dForward(benchmark::State& state) {
+  const int64_t hw = state.range(0);
+  const int64_t channels = hw == 8 ? 8 : 16;
+  Rng rng(4);
+  Tensor x = Tensor::Randn({16, channels, hw, hw}, &rng);
+  for (int64_t i = 0; i < x.numel(); ++i) x.at(i) = std::max(x.at(i), 0.0f);
+  MaxPool2d pool;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.Forward(x, true));
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_MaxPool2dForward)->Arg(8)->Arg(4);
+
+// GemmTransB at ConvNet2's weight-gradient shapes (m, n, k): conv2's
+// (16, 72, 16) and conv1's (8, 9, 64), packing b^T included.
+void BM_GemmTransB(benchmark::State& state) {
+  const int64_t m = state.range(0), n = state.range(1), k = state.range(2);
+  Rng rng(5);
+  const Tensor a = Tensor::Randn({m, k}, &rng);
+  const Tensor b = Tensor::Randn({n, k}, &rng);
+  std::vector<float> c(m * n, 0.0f);
+  for (auto _ : state) {
+    kernels::GemmTransB(m, n, k, a.data(), b.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * n * k);
+}
+BENCHMARK(BM_GemmTransB)->Args({16, 72, 16})->Args({8, 9, 64});
 
 void BM_Im2Col(benchmark::State& state) {
   Rng rng(2);

@@ -1,7 +1,8 @@
 // Differential fuzzer for the tensor kernels and the wire codec
 // (DESIGN.md §9): tiled vs scalar-reference kernels over random shapes
-// (exact equality — the determinism contract), and random + mutated
-// codec frames (must return Status, never crash).
+// (exact equality — the determinism contract), the vector max-pool vs its
+// scalar reference on ties, signed zeros and non-finite values, and random
+// + mutated codec frames (must return Status, never crash).
 //
 //   fuzz_kernels [--trials=N] [--seed=S]
 

@@ -40,18 +40,25 @@ Tensor Linear::Forward(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-Tensor Linear::Backward(const Tensor& grad_out) {
+void Linear::AccumulateParamGrads(const Tensor& grad_out) {
   FS_CHECK_EQ(grad_out.ndim(), 2);
   FS_CHECK_EQ(grad_out.dim(1), out_features_);
   const int64_t batch = grad_out.dim(0);
-  // dW = x^T g (accumulated straight into the grad tensor), db = colsum(g),
-  // dx = g W^T.
+  // dW = x^T g (accumulated straight into the grad tensor), db = colsum(g).
   kernels::GemmTransA(in_features_, out_features_, batch,
                       cached_input_.data(), grad_out.data(),
                       weight_grad_.data());
   kernels::ColSumsAccum(grad_out.data(), batch, out_features_,
                         bias_grad_.data());
-  return MatMulTransB(grad_out, weight_);
+}
+
+Tensor Linear::Backward(const Tensor& grad_out) {
+  AccumulateParamGrads(grad_out);
+  return MatMulTransB(grad_out, weight_);  // dx = g W^T
+}
+
+void Linear::BackwardParams(const Tensor& grad_out) {
+  AccumulateParamGrads(grad_out);
 }
 
 void Linear::CollectParams(const std::string& prefix,
@@ -120,19 +127,28 @@ Tensor Conv2d::Forward(const Tensor& x, bool train) {
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {
+  Tensor grad_in(cached_input_.shape());
+  BackwardInto(grad_out, &grad_in);
+  return grad_in;
+}
+
+void Conv2d::BackwardParams(const Tensor& grad_out) {
+  BackwardInto(grad_out, nullptr);
+}
+
+void Conv2d::BackwardInto(const Tensor& grad_out, Tensor* grad_in) {
   const Tensor& x = cached_input_;
   const int64_t batch = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
   const int64_t out_h = grad_out.dim(2), out_w = grad_out.dim(3);
   const int64_t patch = in_channels_ * kernel_ * kernel_;
   const int64_t spatial = out_h * out_w;
   const int64_t image_cols = patch * spatial;
-  Tensor grad_in(x.shape());
   // After an eval forward no columns are kept: lower each image again.
   const bool reuse = !cached_cols_.empty();
   std::vector<float> recomputed(reuse ? 0 : image_cols);
-  // Per image: db += rowsum(G), dW += G @ cols^T, d(cols) = W^T @ G, then
-  // col2im scatters d(cols) back into grad_in.
-  std::vector<float> grad_cols(image_cols);
+  // Per image: db += rowsum(G), dW += G @ cols^T, and with grad_in,
+  // d(cols) = W^T @ G, which col2im scatters back into grad_in.
+  std::vector<float> grad_cols(grad_in != nullptr ? image_cols : 0);
   for (int64_t n = 0; n < batch; ++n) {
     const float* gn = grad_out.data() + n * out_channels_ * spatial;
     const float* xn = x.data() + n * in_channels_ * in_h * in_w;
@@ -145,14 +161,15 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
         reuse ? cached_cols_.data() + n * image_cols : recomputed.data();
     kernels::GemmTransB(out_channels_, patch, spatial, gn, cols,
                         weight_grad_.data());
+    if (grad_in == nullptr) continue;
     std::fill(grad_cols.begin(), grad_cols.end(), 0.0f);
     kernels::GemmTransA(patch, spatial, out_channels_, weight_.data(), gn,
                         grad_cols.data());
     kernels::Col2Im(grad_cols.data(), in_channels_, in_h, in_w, kernel_,
-                    padding_, grad_in.data() + n * in_channels_ * in_h * in_w);
+                    padding_,
+                    grad_in->data() + n * in_channels_ * in_h * in_w);
   }
   std::vector<float>().swap(cached_cols_);
-  return grad_in;
 }
 
 void Conv2d::CollectParams(const std::string& prefix,
@@ -258,39 +275,11 @@ Tensor MaxPool2d::Forward(const Tensor& x, bool /*train*/) {
   FS_CHECK_GT(out_h, 0);
   FS_CHECK_GT(out_w, 0);
   Tensor y({batch, channels, out_h, out_w});
-  argmax_.assign(y.numel(), 0);
-  float* out = y.data();
-  int64_t out_idx = 0;
-  // Row-pointer scan over each 2x2 window; the (0,0),(0,1),(1,0),(1,1)
-  // strictly-greater visit order matches the original tie-breaking.
-  for (int64_t plane = 0; plane < batch * channels; ++plane) {
-    const int64_t plane_base = plane * in_h * in_w;
-    for (int64_t oh = 0; oh < out_h; ++oh) {
-      const int64_t row_base = plane_base + (oh * 2) * in_w;
-      const float* r0 = x.data() + row_base;
-      const float* r1 = r0 + in_w;
-      for (int64_t ow = 0; ow < out_w; ++ow) {
-        const int64_t i0 = ow * 2;
-        float best = r0[i0];
-        int64_t best_flat = row_base + i0;
-        if (r0[i0 + 1] > best) {
-          best = r0[i0 + 1];
-          best_flat = row_base + i0 + 1;
-        }
-        if (r1[i0] > best) {
-          best = r1[i0];
-          best_flat = row_base + in_w + i0;
-        }
-        if (r1[i0 + 1] > best) {
-          best = r1[i0 + 1];
-          best_flat = row_base + in_w + i0 + 1;
-        }
-        out[out_idx] = best;
-        argmax_[out_idx] = best_flat;
-        ++out_idx;
-      }
-    }
-  }
+  // Resized, not zeroed: MaxPool2x2 writes every entry. An eval forward
+  // fills it too, so Backward routes after either.
+  argmax_.resize(y.numel());
+  kernels::MaxPool2x2(x.data(), batch * channels, in_h, in_w, y.data(),
+                      argmax_.data());
   return y;
 }
 

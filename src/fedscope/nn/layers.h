@@ -38,6 +38,15 @@ class Layer {
   /// parameter gradients.
   virtual Tensor Backward(const Tensor& grad_out) = 0;
 
+  /// Backward without dL/d input: accumulates the same parameter gradients,
+  /// bit for bit, and releases what Backward releases. Model::Backward calls
+  /// it on its first layer with parameters, whose input gradient nothing
+  /// reads. The default runs Backward and drops the result; layers whose
+  /// input gradient costs a product of its own override it.
+  virtual void BackwardParams(const Tensor& grad_out) {
+    (void)Backward(grad_out);
+  }
+
   /// Appends this layer's parameters/buffers, names prefixed.
   virtual void CollectParams(const std::string& prefix,
                              std::vector<ParamRef>* out) {
@@ -59,6 +68,7 @@ class Linear : public Layer {
 
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
+  void BackwardParams(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<ParamRef>* out) override;
   std::unique_ptr<Layer> Clone() const override;
@@ -70,6 +80,7 @@ class Linear : public Layer {
 
  private:
   Linear() = default;
+  void AccumulateParamGrads(const Tensor& grad_out);
   int64_t in_features_ = 0;
   int64_t out_features_ = 0;
   Tensor weight_, bias_;
@@ -85,13 +96,21 @@ class Conv2d : public Layer {
 
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
+  void BackwardParams(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<ParamRef>* out) override;
   std::unique_ptr<Layer> Clone() const override;
   std::string TypeName() const override { return "Conv2d"; }
 
+  /// Floats of im2col columns held from a training Forward until the
+  /// matching Backward or BackwardParams frees them; 0 otherwise.
+  size_t kept_column_floats() const { return cached_cols_.size(); }
+
  private:
   Conv2d() = default;
+  // Accumulates the parameter gradients and, when grad_in is not null, the
+  // input gradient into it; frees cached_cols_ either way.
+  void BackwardInto(const Tensor& grad_out, Tensor* grad_in);
   int64_t in_channels_ = 0, out_channels_ = 0, kernel_ = 0, padding_ = 0;
   Tensor weight_;  // [out_c, in_c, k, k]
   Tensor bias_;    // [out_c]
@@ -143,7 +162,7 @@ class Dropout : public Layer {
   bool last_train_ = false;
 };
 
-/// 2x2 max pooling with stride 2 over NCHW input.
+/// 2x2 max pooling with stride 2 over NCHW input (kernels::MaxPool2x2).
 class MaxPool2d : public Layer {
  public:
   Tensor Forward(const Tensor& x, bool train) override;

@@ -32,6 +32,7 @@ NameFilter IncludePrefixes(std::vector<std::string> prefixes) {
 Model& Model::operator=(const Model& other) {
   if (this == &other) return *this;
   names_ = other.names_;
+  first_param_layer_ = other.first_param_layer_;
   layers_.clear();
   layers_.reserve(other.layers_.size());
   for (const auto& layer : other.layers_) layers_.push_back(layer->Clone());
@@ -41,6 +42,13 @@ Model& Model::operator=(const Model& other) {
 void Model::Add(std::string name, std::unique_ptr<Layer> layer) {
   for (const auto& existing : names_) {
     FS_CHECK_NE(existing, name) << "duplicate layer name";
+  }
+  if (first_param_layer_ < 0) {
+    std::vector<ParamRef> params;
+    layer->CollectParams(name, &params);
+    for (const ParamRef& p : params) {
+      if (p.grad != nullptr) first_param_layer_ = num_layers();
+    }
   }
   names_.push_back(std::move(name));
   layers_.push_back(std::move(layer));
@@ -52,12 +60,15 @@ Tensor Model::Forward(const Tensor& x, bool train) {
   return h;
 }
 
-Tensor Model::Backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
+void Model::Backward(const Tensor& grad_out) {
+  if (first_param_layer_ < 0) return;
+  Tensor g;
+  const Tensor* in = &grad_out;
+  for (int i = num_layers() - 1; i > first_param_layer_; --i) {
+    g = layers_[i]->Backward(*in);
+    in = &g;
   }
-  return g;
+  layers_[first_param_layer_]->BackwardParams(*in);
 }
 
 std::vector<ParamRef> Model::Params() {

@@ -47,8 +47,12 @@ class Model {
   /// Forward pass through all layers.
   Tensor Forward(const Tensor& x, bool train = true);
 
-  /// Backward pass; accumulates parameter gradients, returns grad w.r.t. x.
-  Tensor Backward(const Tensor& grad_out);
+  /// Backward pass from dL/d output: accumulates every parameter gradient.
+  /// Layers run Backward in reverse down to the first layer with
+  /// parameters, which runs BackwardParams; the layers before it do not run
+  /// at all. No input gradient is computed, and the gradients are the ones
+  /// a full per-layer backward accumulates, bit for bit.
+  void Backward(const Tensor& grad_out);
 
   /// All parameters and buffers with hierarchical names.
   std::vector<ParamRef> Params();
@@ -81,6 +85,9 @@ class Model {
  private:
   std::vector<std::string> names_;
   std::vector<std::unique_ptr<Layer>> layers_;
+  // Index of the first layer with a gradient-carrying parameter, or -1 when
+  // no layer has one; set by Add, copied with the layers.
+  int first_param_layer_ = -1;
 };
 
 // --------------------------------------------------------------------------

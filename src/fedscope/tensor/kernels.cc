@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 namespace fedscope {
@@ -63,6 +64,8 @@ void MicroTileEdge(const float* __restrict__ a, int64_t as_i, int64_t as_k,
 // vector multiply followed by a separate vector add performs exactly the
 // scalar reference's `acc += a * b` per lane.
 typedef float Vec8 __attribute__((vector_size(8 * sizeof(float))));
+// Lane masks, shuffle selectors and lane offsets for Vec8.
+typedef int32_t Vec8i __attribute__((vector_size(8 * sizeof(int32_t))));
 
 inline Vec8 LoadVec8(const float* p) {
   Vec8 v;
@@ -173,6 +176,54 @@ std::vector<float>& PackBuffer() {
   return buf;
 }
 
+// Transposes the 8x8 block at src (row stride lds) into dst (row stride
+// ldd): three rounds of two-input shuffles, each swapping the off-diagonal
+// sub-blocks of size 4, then 2, then 1 between row pairs.
+void Transpose8x8(const float* __restrict__ src, int64_t lds,
+                  float* __restrict__ dst, int64_t ldd) {
+  constexpr Vec8i kLo4 = {0, 1, 2, 3, 8, 9, 10, 11};
+  constexpr Vec8i kHi4 = {4, 5, 6, 7, 12, 13, 14, 15};
+  constexpr Vec8i kLo2 = {0, 1, 8, 9, 4, 5, 12, 13};
+  constexpr Vec8i kHi2 = {2, 3, 10, 11, 6, 7, 14, 15};
+  constexpr Vec8i kLo1 = {0, 8, 2, 10, 4, 12, 6, 14};
+  constexpr Vec8i kHi1 = {1, 9, 3, 11, 5, 13, 7, 15};
+  Vec8 r[8];
+  for (int i = 0; i < 8; ++i) r[i] = LoadVec8(src + i * lds);
+  Vec8 t[8];
+  for (int i = 0; i < 4; ++i) {
+    t[i] = __builtin_shuffle(r[i], r[i + 4], kLo4);
+    t[i + 4] = __builtin_shuffle(r[i], r[i + 4], kHi4);
+  }
+  for (int i : {0, 1, 4, 5}) {
+    r[i] = __builtin_shuffle(t[i], t[i + 2], kLo2);
+    r[i + 2] = __builtin_shuffle(t[i], t[i + 2], kHi2);
+  }
+  for (int i : {0, 2, 4, 6}) {
+    t[i] = __builtin_shuffle(r[i], r[i + 1], kLo1);
+    t[i + 1] = __builtin_shuffle(r[i], r[i + 1], kHi1);
+  }
+  for (int i = 0; i < 8; ++i) StoreVec8(dst + i * ldd, t[i]);
+}
+
+// bt = b^T for row-major b [n, k]: bt[kk * n + j] = b[j * k + kk]. Full
+// 8x8 blocks go through Transpose8x8; the last k % 8 columns of each 8-row
+// band and the last n % 8 rows are copied one float at a time.
+void PackTransposed(const float* b, int64_t n, int64_t k, float* bt) {
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    int64_t kk = 0;
+    for (; kk + 8 <= k; kk += 8) {
+      Transpose8x8(b + j * k + kk, k, bt + kk * n + j, n);
+    }
+    for (; kk < k; ++kk) {
+      for (int64_t r = 0; r < 8; ++r) bt[kk * n + j + r] = b[(j + r) * k + kk];
+    }
+  }
+  for (; j < n; ++j) {
+    for (int64_t kk = 0; kk < k; ++kk) bt[kk * n + j] = b[j * k + kk];
+  }
+}
+
 // Copies n floats in fixed 8- and 4-float pieces, which the compiler emits
 // as vector moves. Lowering a small convolution copies rows of 4 to 8
 // floats, where a memcpy call per row costs more than the copy itself.
@@ -215,6 +266,119 @@ float* PadImage(const float* im, int64_t channels, int64_t height,
   return buf.data();
 }
 
+// -- 2x2 max pooling --------------------------------------------------------
+
+typedef int64_t Vec8l __attribute__((vector_size(8 * sizeof(int64_t))));
+
+// Rows wider than this would overflow PoolLanes' int32 offsets.
+constexpr int64_t kMaxLaneWidth = std::numeric_limits<int32_t>::max() - 1;
+
+// The window whose (0,0) element is x[at], in visit order with strict `>`.
+inline void PoolWindow(const float* x, int64_t at, int64_t width, float* y,
+                       int64_t* argmax) {
+  float best = x[at];
+  int64_t best_at = at;
+  for (const int64_t cand : {at + 1, at + width, at + width + 1}) {
+    if (x[cand] > best) {
+      best = x[cand];
+      best_at = cand;
+    }
+  }
+  *y = best;
+  *argmax = best_at;
+}
+
+// Eight windows, one per lane: a, b, c, d hold their (0,0), (0,1), (1,0) and
+// (1,1) elements and `at` the flat index of each (0,0). A compare and a
+// select per visit step, on values and offsets alike, are PoolWindow's
+// branches lane by lane (a false compare, NaN included, keeps the lane).
+inline void PoolLanes(Vec8 a, Vec8 b, Vec8 c, Vec8 d, Vec8l at,
+                      int32_t width, float* y, int64_t* argmax) {
+  const Vec8i zero = {};
+  Vec8 best = a;
+  Vec8i offset = zero;
+  Vec8i take = b > best;
+  best = take ? b : best;
+  offset = take ? zero + 1 : offset;
+  take = c > best;
+  best = take ? c : best;
+  offset = take ? zero + width : offset;
+  take = d > best;
+  best = take ? d : best;
+  offset = take ? zero + (width + 1) : offset;
+  StoreVec8(y, best);
+  const Vec8l index = at + __builtin_convertvector(offset, Vec8l);
+  std::memcpy(argmax, &index, sizeof(index));
+}
+
+constexpr Vec8i kEvenLanes = {0, 2, 4, 6, 8, 10, 12, 14};
+constexpr Vec8i kOddLanes = {1, 3, 5, 7, 9, 11, 13, 15};
+constexpr Vec8i kLowPairs = {0, 1, 4, 5, 8, 9, 12, 13};
+constexpr Vec8i kHighPairs = {2, 3, 6, 7, 10, 11, 14, 15};
+
+// Pools `pairs` consecutive row pairs, `width` wide, the first starting at
+// x[start]; window o goes to y[o] and argmax[o]. When the width is a
+// multiple of 8, each 8 columns of a row pair hold 4 windows; a 4-wide row
+// pair holds 2. Either way 8 lanes fill from contiguous loads. The windows
+// those steps leave, and every window of other widths, go through
+// PoolWindow.
+void PoolRowPairs(const float* x, int64_t start, int64_t pairs, int64_t width,
+                  float* y, int64_t* argmax) {
+  const int64_t out_w = width / 2;
+  const int64_t outputs = pairs * out_w;
+  int64_t o = 0;
+  if (width % 8 == 0 && width <= kMaxLaneWidth) {
+    // (0,0) index of the next 4-window run: row pair `row`, column `col`.
+    int64_t row = start, col = 0;
+    auto next_run = [&] {
+      const int64_t at = row + col;
+      col += 8;
+      if (col == width) {
+        col = 0;
+        row += 2 * width;
+      }
+      return at;
+    };
+    for (; o + 8 <= outputs; o += 8) {
+      const int64_t p = next_run(), q = next_run();
+      const Vec8 top_p = LoadVec8(x + p), bottom_p = LoadVec8(x + p + width);
+      const Vec8 top_q = LoadVec8(x + q), bottom_q = LoadVec8(x + q + width);
+      PoolLanes(__builtin_shuffle(top_p, top_q, kEvenLanes),
+                __builtin_shuffle(top_p, top_q, kOddLanes),
+                __builtin_shuffle(bottom_p, bottom_q, kEvenLanes),
+                __builtin_shuffle(bottom_p, bottom_q, kOddLanes),
+                Vec8l{p, p + 2, p + 4, p + 6, q, q + 2, q + 4, q + 6},
+                static_cast<int32_t>(width), y + o, argmax + o);
+    }
+  } else if (width == 4) {
+    // Four row pairs of 8 floats each: lanes 0-3 of a pair are its top
+    // row, lanes 4-7 its bottom row.
+    for (; o + 8 <= outputs; o += 8) {
+      const int64_t p = start + 4 * o;
+      const Vec8 v0 = LoadVec8(x + p), v1 = LoadVec8(x + p + 8);
+      const Vec8 v2 = LoadVec8(x + p + 16), v3 = LoadVec8(x + p + 24);
+      // Even lanes of two pairs: (0,0) of windows 0 1, (1,0) of 0 1, then
+      // the same for windows 2 3; odd lanes hold (0,1) and (1,1).
+      const Vec8 even01 = __builtin_shuffle(v0, v1, kEvenLanes);
+      const Vec8 even23 = __builtin_shuffle(v2, v3, kEvenLanes);
+      const Vec8 odd01 = __builtin_shuffle(v0, v1, kOddLanes);
+      const Vec8 odd23 = __builtin_shuffle(v2, v3, kOddLanes);
+      PoolLanes(__builtin_shuffle(even01, even23, kLowPairs),
+                __builtin_shuffle(odd01, odd23, kLowPairs),
+                __builtin_shuffle(even01, even23, kHighPairs),
+                __builtin_shuffle(odd01, odd23, kHighPairs),
+                p + Vec8l{0, 2, 8, 10, 16, 18, 24, 26}, 4, y + o,
+                argmax + o);
+    }
+  }
+  for (int64_t q = o / out_w, ow = o % out_w; q < pairs; ++q, ow = 0) {
+    for (; ow < out_w; ++ow) {
+      PoolWindow(x, start + 2 * q * width + 2 * ow, width, y + q * out_w + ow,
+                 argmax + q * out_w + ow);
+    }
+  }
+}
+
 }  // namespace
 
 void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
@@ -233,18 +397,7 @@ void GemmTransB(int64_t m, int64_t n, int64_t k, const float* a,
   // Packing moves values untouched, so the accumulation chain is unchanged.
   std::vector<float>& bt = PackBuffer();
   bt.resize(static_cast<size_t>(k) * n);
-  constexpr int64_t kBlock = 32;
-  for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
-    const int64_t j1 = std::min(n, j0 + kBlock);
-    for (int64_t k0 = 0; k0 < k; k0 += kBlock) {
-      const int64_t k1 = std::min(k, k0 + kBlock);
-      for (int64_t j = j0; j < j1; ++j) {
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          bt[kk * n + j] = b[j * k + kk];
-        }
-      }
-    }
-  }
+  PackTransposed(b, n, k, bt.data());
   GemmStrided(m, n, k, a, /*as_i=*/k, /*as_k=*/1, bt.data(), c);
 }
 
@@ -330,6 +483,51 @@ void Col2Im(const float* cols, int64_t channels, int64_t height,
       CopyRow(im + (ic * height + h) * width,
               padded + (ic * padded_h + h + padding) * padded_w + padding,
               width);
+    }
+  }
+}
+
+void MaxPool2x2(const float* x, int64_t planes, int64_t height,
+                int64_t width, float* y, int64_t* argmax) {
+  const int64_t out_h = height / 2, out_w = width / 2;
+  if (out_h == 0 || out_w == 0) return;
+  if (height % 2 == 0) {
+    // Without a dropped last row the planes are one run of row pairs.
+    PoolRowPairs(x, 0, planes * out_h, width, y, argmax);
+    return;
+  }
+  for (int64_t p = 0; p < planes; ++p) {
+    const int64_t out = p * out_h * out_w;
+    PoolRowPairs(x, p * height * width, out_h, width, y + out, argmax + out);
+  }
+}
+
+void MaxPool2x2Reference(const float* x, int64_t planes, int64_t height,
+                         int64_t width, float* y, int64_t* argmax) {
+  const int64_t out_h = height / 2, out_w = width / 2;
+  int64_t o = 0;
+  for (int64_t p = 0; p < planes; ++p) {
+    for (int64_t oh = 0; oh < out_h; ++oh) {
+      const int64_t row = (p * height + 2 * oh) * width;
+      for (int64_t ow = 0; ow < out_w; ++ow, ++o) {
+        const int64_t i0 = row + 2 * ow;
+        float best = x[i0];
+        int64_t best_at = i0;
+        if (x[i0 + 1] > best) {
+          best = x[i0 + 1];
+          best_at = i0 + 1;
+        }
+        if (x[i0 + width] > best) {
+          best = x[i0 + width];
+          best_at = i0 + width;
+        }
+        if (x[i0 + width + 1] > best) {
+          best = x[i0 + width + 1];
+          best_at = i0 + width + 1;
+        }
+        y[o] = best;
+        argmax[o] = best_at;
+      }
     }
   }
 }

@@ -23,10 +23,16 @@ namespace kernels {
 // last full block use a runtime-extent edge tile. Every tile starts each
 // element's chain at zero and adds it to c once, after the k loop.
 //
+// GemmTransB first transposes b into a thread_local [k, n] panel, in 8x8
+// blocks of 8-float vector shuffles with scalar edges; packing moves values
+// untouched, so the chains are Gemm's.
+//
 // Callers above these kernels keep the contract too: Conv2d reuses its
 // forward's columns in Backward, and EvaluateClassifier runs its forward in
 // 32-row chunks (eval-mode layers are row-independent), both bit-identical
-// to lowering again and to one whole-set forward.
+// to lowering again and to one whole-set forward. Model::Backward stops at
+// the first layer with parameters, whose parameter gradients are the same
+// floats a full backward accumulates.
 // ---------------------------------------------------------------------------
 
 /// c += a @ b. a: [m, k] row-major, b: [k, n] row-major, c: [m, n] row-major.
@@ -88,6 +94,28 @@ void Conv2dBackwardReference(const float* x, const float* weight,
                              int64_t kernel, int64_t padding,
                              float* weight_grad, float* bias_grad,
                              float* grad_in);
+
+// ---------------------------------------------------------------------------
+// Pooling.
+// ---------------------------------------------------------------------------
+
+/// 2x2, stride-2 max pooling over `planes` row-major [height, width] planes
+/// (NCHW with planes = batch * channels; an odd last row or column is
+/// dropped). y: [planes, height / 2, width / 2]; argmax[o] receives the flat
+/// index into x of the value y[o] copies. Each window is visited (0,0),
+/// (0,1), (1,0), (1,1) with strict `>`, so ties keep the earliest element
+/// (+0 before -0) and a NaN neither wins a later slot nor is replaced from
+/// the first. Rows 4 wide or a multiple of 8 wide are compared 8 windows
+/// per vector compare-and-select; any other shape runs the scalar loop.
+/// Either way the outputs and indices equal MaxPool2x2Reference's bit for
+/// bit.
+void MaxPool2x2(const float* x, int64_t planes, int64_t height,
+                int64_t width, float* y, int64_t* argmax);
+
+/// One window at a time, in the same visit order: the oracle for
+/// MaxPool2x2 (tests assert exact equality of values and indices).
+void MaxPool2x2Reference(const float* x, int64_t planes, int64_t height,
+                         int64_t width, float* y, int64_t* argmax);
 
 // ---------------------------------------------------------------------------
 // Fused elementwise helpers (pointer loops the compiler vectorizes).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -260,6 +261,44 @@ void FuzzElementwiseTrial(Rng* rng, uint64_t trial_seed,
   }
 }
 
+void FuzzPoolTrial(Rng* rng, uint64_t trial_seed,
+                   std::vector<Violation>* out) {
+  // Half the trials take a vector-path width (4 or a multiple of 8), the
+  // rest any width; heights and plane counts leave scalar tails and odd
+  // last rows.
+  const int64_t planes = rng->UniformInt(1, 40);
+  const int64_t height = rng->UniformInt(1, 12);
+  int64_t width = rng->UniformInt(1, 20);
+  if (rng->Bernoulli(0.5)) {
+    width = rng->Bernoulli(0.5) ? 4 : 8 * rng->UniformInt(1, 4);
+  }
+  // Few distinct values, so windows tie; zeros of both signs and the
+  // non-finite values decide ties and NaN handling.
+  const float kValues[] = {0.0f,
+                           -0.0f,
+                           1.0f,
+                           -1.0f,
+                           2.5f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+  std::vector<float> x(static_cast<size_t>(planes * height * width));
+  for (auto& v : x) v = kValues[rng->UniformInt(0, 7)];
+  const size_t outputs =
+      static_cast<size_t>(planes * (height / 2) * (width / 2));
+  std::vector<float> y(outputs, -7.0f), y_ref(outputs, 7.0f);
+  std::vector<int64_t> arg(outputs, -1), arg_ref(outputs, -2);
+  kernels::MaxPool2x2(x.data(), planes, height, width, y.data(), arg.data());
+  kernels::MaxPool2x2Reference(x.data(), planes, height, width, y_ref.data(),
+                               arg_ref.data());
+  if (!BitEqual(y, y_ref) || arg != arg_ref) {
+    std::ostringstream os;
+    os << "MaxPool2x2 != scalar reference for planes=" << planes
+       << " h=" << height << " w=" << width;
+    Report(out, "kernel_pool", trial_seed, os.str());
+  }
+}
+
 // -- codec oracles ----------------------------------------------------------
 
 Message RandomMessage(Rng* rng) {
@@ -383,6 +422,7 @@ FuzzReport FuzzKernels(uint64_t seed, int trials) {
     FuzzGemmTrial(&rng, trial_seed, &report.violations);
     FuzzConvTrial(&rng, trial_seed, &report.violations);
     FuzzElementwiseTrial(&rng, trial_seed, &report.violations);
+    FuzzPoolTrial(&rng, trial_seed, &report.violations);
     ++report.trials;
   }
   return report;

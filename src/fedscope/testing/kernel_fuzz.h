@@ -17,8 +17,10 @@ struct FuzzReport {
 /// Gemm/GemmTransA/GemmTransB vs the scalar *Reference kernels (exact
 /// bit equality — the determinism contract), Im2Col/Col2Im vs a naive
 /// gather/scatter, the im2col+gemm convolution lowering vs the direct
-/// double-accumulating Conv2dForwardReference (tolerance), and the
-/// elementwise helpers vs naive loops (exact).
+/// double-accumulating Conv2dForwardReference (tolerance), the
+/// elementwise helpers vs naive loops (exact), and MaxPool2x2 vs
+/// MaxPool2x2Reference over random extents with ties, signed zeros and
+/// non-finite values (exact values and indices).
 FuzzReport FuzzKernels(uint64_t seed, int trials);
 
 /// Fuzz of the wire codec: random valid messages must decode and

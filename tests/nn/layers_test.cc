@@ -1,6 +1,7 @@
 #include "fedscope/nn/layers.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -286,6 +287,73 @@ TEST(Conv2dTest, TrainStepMatchesPerImageLoweringBitForBit) {
 TEST(Conv2dTest, BackwardAfterEvalForwardMatchesPerImageLowering) {
   for (const ConvShape& shape : kConvNet2Convs) {
     CheckConvAgainstReference(shape, /*eval_forward=*/true);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MaxPool2d vs the scalar kernel reference, bit for bit.
+// ---------------------------------------------------------------------------
+
+// ReLU output with NaN, both infinities and -0 sprinkled in: most windows
+// tie at zero, as they do behind ConvNet2's ReLUs.
+Tensor PoolLayerInput(const std::vector<int64_t>& shape, Rng* rng) {
+  Tensor x = Tensor::Randn(shape, rng);
+  const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f};
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const int64_t pick = rng->UniformInt(0, 15);
+    x.at(i) = pick < 4 ? kSpecial[pick] : std::max(x.at(i), 0.0f);
+  }
+  return x;
+}
+
+// Forward (training or eval) must copy the reference's values bit for bit
+// (Tensor equality compares bits, so NaN matches NaN),
+// and Backward must send each output gradient to the reference's argmax.
+// A decoy forward of another shape runs first, so an argmax entry the
+// layer failed to overwrite would misroute.
+void CheckPoolAgainstReference(const std::vector<int64_t>& shape,
+                               bool train) {
+  Rng rng(41 + shape[3]);
+  MaxPool2d pool;
+  pool.Forward(Tensor::Randn({shape[0] + 1, shape[1], shape[2] + 2,
+                              shape[3] + 2},
+                             &rng),
+               true);
+  const Tensor x = PoolLayerInput(shape, &rng);
+  const Tensor y = pool.Forward(x, train);
+  const int64_t planes = shape[0] * shape[1];
+  Tensor want({shape[0], shape[1], shape[2] / 2, shape[3] / 2});
+  std::vector<int64_t> argmax(want.numel());
+  kernels::MaxPool2x2Reference(x.data(), planes, shape[2], shape[3],
+                               want.data(), argmax.data());
+  EXPECT_TRUE(y == want) << x.ShapeString() << " train=" << train;
+
+  const Tensor grad_out = Tensor::Randn(y.shape(), &rng);
+  Tensor want_grad(x.shape());
+  for (int64_t i = 0; i < grad_out.numel(); ++i) {
+    want_grad.at(argmax[i]) += grad_out.at(i);
+  }
+  EXPECT_TRUE(pool.Backward(grad_out) == want_grad)
+      << x.ShapeString() << " train=" << train;
+}
+
+// silo_convnet's two pools, batch x channel counts that leave the vector
+// path a scalar tail, odd extents, and 2- and 3-wide planes.
+const std::vector<int64_t> kPoolLayerShapes[] = {
+    {16, 8, 8, 8}, {16, 16, 4, 4}, {3, 5, 4, 4}, {1, 3, 6, 8},
+    {2, 3, 5, 7},  {2, 1, 7, 8},   {1, 1, 2, 2}, {3, 1, 3, 2}};
+
+TEST(MaxPool2dLayerTest, TrainForwardAndBackwardMatchReferenceBitForBit) {
+  for (const auto& shape : kPoolLayerShapes) {
+    CheckPoolAgainstReference(shape, /*train=*/true);
+  }
+}
+
+TEST(MaxPool2dLayerTest, BackwardAfterEvalForwardMatchesReference) {
+  for (const auto& shape : kPoolLayerShapes) {
+    CheckPoolAgainstReference(shape, /*train=*/false);
   }
 }
 

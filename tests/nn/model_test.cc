@@ -1,7 +1,13 @@
 #include "fedscope/nn/model.h"
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "fedscope/nn/loss.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/tensor/tensor_ops.h"
 
@@ -119,6 +125,148 @@ TEST(ModelTest, GradientsAccumulateAcrossBackwards) {
   for (int64_t i = 0; i < one_pass.numel(); ++i) {
     EXPECT_NEAR(two_pass.at(i), 2.0f * one_pass.at(i), 1e-4);
   }
+}
+
+// -- Backward prefix ---------------------------------------------------------
+
+// Every layer's Backward in reverse, the first layer's input gradient
+// included: what Model::Backward must equal on every parameter gradient.
+void FullBackward(Model* m, const Tensor& grad_out) {
+  Tensor g = grad_out;
+  for (int i = m->num_layers() - 1; i >= 0; --i) g = m->layer(i)->Backward(g);
+}
+
+// Two training steps on two copies of `proto` (same dropout streams), one
+// through Model::Backward and one through FullBackward, with gradients
+// accumulating across the steps: every gradient must match bit for bit,
+// and no Conv2d may keep its columns afterwards.
+void ExpectPrefixMatchesFullBackward(const Model& proto,
+                                     std::vector<int64_t> x_shape,
+                                     int64_t classes) {
+  Model prefix = proto;
+  Model full = proto;
+  Rng rng(31);
+  SoftmaxCrossEntropy loss;
+  for (int step = 0; step < 2; ++step) {
+    const Tensor x = Tensor::Randn(x_shape, &rng);
+    std::vector<int64_t> labels(x_shape[0]);
+    for (auto& label : labels) label = rng.UniformInt(0, classes - 1);
+    const Tensor out = prefix.Forward(x, /*train=*/true);
+    ASSERT_TRUE(full.Forward(x, /*train=*/true) == out);
+    loss.Forward(out, labels);
+    const Tensor grad_out = loss.Backward();
+    prefix.Backward(grad_out);
+    FullBackward(&full, grad_out);
+
+    const std::vector<ParamRef> got = prefix.Params();
+    const std::vector<ParamRef> want = full.Params();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (want[i].grad == nullptr) continue;
+      EXPECT_TRUE(*got[i].grad == *want[i].grad)
+          << want[i].name << " step " << step;
+      EXPECT_GT(SquaredNorm(*want[i].grad), 0.0) << want[i].name;
+    }
+    for (int i = 0; i < prefix.num_layers(); ++i) {
+      if (const auto* conv = dynamic_cast<Conv2d*>(prefix.layer(i))) {
+        EXPECT_EQ(conv->kept_column_floats(), 0u) << prefix.layer_name(i);
+      }
+    }
+  }
+}
+
+TEST(BackwardPrefixTest, ConvNet2MatchesFullBackward) {
+  Rng rng(5);
+  ExpectPrefixMatchesFullBackward(
+      MakeConvNet2(1, 8, 10, 16, /*dropout=*/0.0, &rng), {4, 1, 8, 8}, 10);
+}
+
+TEST(BackwardPrefixTest, ConvNet2WithDropoutMatchesFullBackward) {
+  Rng rng(6);
+  ExpectPrefixMatchesFullBackward(
+      MakeConvNet2(3, 8, 10, 16, /*dropout=*/0.5, &rng), {4, 3, 8, 8}, 10);
+}
+
+TEST(BackwardPrefixTest, FlattenMlpMatchesFullBackward) {
+  Rng rng(7);
+  Model m;
+  m.Add("flatten", std::make_unique<Flatten>());
+  m.Add("fc1", std::make_unique<Linear>(18, 8, &rng));
+  m.Add("relu1", std::make_unique<ReLU>());
+  m.Add("fc2", std::make_unique<Linear>(8, 4, &rng));
+  ExpectPrefixMatchesFullBackward(m, {5, 2, 3, 3}, 4);
+}
+
+TEST(BackwardPrefixTest, LogisticRegressionMatchesFullBackward) {
+  Rng rng(8);
+  ExpectPrefixMatchesFullBackward(MakeLogisticRegression(6, 3, &rng), {5, 6},
+                                  3);
+}
+
+TEST(BackwardPrefixTest, BatchNormFirstMatchesFullBackward) {
+  Rng rng(9);
+  Model m;
+  m.Add("norm", std::make_unique<BatchNorm>(6));
+  m.Add("fc1", std::make_unique<Linear>(6, 5, &rng));
+  m.Add("relu1", std::make_unique<ReLU>());
+  m.Add("fc2", std::make_unique<Linear>(5, 3, &rng));
+  ExpectPrefixMatchesFullBackward(m, {8, 6}, 3);
+}
+
+TEST(BackwardPrefixTest, DropoutBeforeFirstLinearMatchesFullBackward) {
+  Rng rng(10);
+  Model m;
+  m.Add("drop", std::make_unique<Dropout>(0.3, rng.Next()));
+  m.Add("fc1", std::make_unique<Linear>(6, 5, &rng));
+  m.Add("tanh1", std::make_unique<Tanh>());
+  m.Add("fc2", std::make_unique<Linear>(5, 3, &rng));
+  ExpectPrefixMatchesFullBackward(m, {8, 6}, 3);
+}
+
+// Records which of Backward and BackwardParams ran.
+class SpyLayer : public Layer {
+ public:
+  explicit SpyLayer(std::vector<std::string>* calls, std::string name)
+      : calls_(calls), name_(std::move(name)) {}
+  Tensor Forward(const Tensor& x, bool /*train*/) override { return x; }
+  Tensor Backward(const Tensor& grad_out) override {
+    calls_->push_back(name_ + ".Backward");
+    return grad_out;
+  }
+  void BackwardParams(const Tensor& grad_out) override {
+    calls_->push_back(name_ + ".BackwardParams");
+    (void)grad_out;
+  }
+  std::unique_ptr<Layer> Clone() const override {
+    return std::make_unique<SpyLayer>(*this);
+  }
+  std::string TypeName() const override { return "Spy"; }
+
+ private:
+  std::vector<std::string>* calls_;
+  std::string name_;
+};
+
+TEST(BackwardPrefixTest, LayersBelowFirstParameterLayerDoNotRun) {
+  Rng rng(11);
+  std::vector<std::string> calls;
+  Model m;
+  m.Add("below", std::make_unique<SpyLayer>(&calls, "below"));
+  m.Add("fc1", std::make_unique<Linear>(4, 3, &rng));
+  m.Add("above", std::make_unique<SpyLayer>(&calls, "above"));
+  m.Add("fc2", std::make_unique<Linear>(3, 2, &rng));
+  // The index is found at Add and must survive a copy.
+  Model copy = m;
+  const Tensor out = copy.Forward(Tensor::Randn({2, 4}, &rng), true);
+  copy.Backward(Tensor::Full(out.shape(), 1.0f));
+  EXPECT_EQ(calls, std::vector<std::string>{"above.Backward"});
+
+  // Without a parameter layer there is no gradient to accumulate.
+  calls.clear();
+  Model no_params;
+  no_params.Add("only", std::make_unique<SpyLayer>(&calls, "only"));
+  no_params.Backward(no_params.Forward(Tensor::Full({1, 2}, 1.0f), true));
+  EXPECT_TRUE(calls.empty());
 }
 
 // -- NameFilters -------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include "fedscope/tensor/kernels.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +24,10 @@ std::vector<float> RandVec(int64_t n, Rng* rng) {
 // Edge shapes around the register-block sizes (MR=8; 32-, 16- and 8-wide
 // column tiles): unit dims, odd dims, exact multiples, just over a tile,
 // k = 0, ConvNet2's lowering GEMMs (silo shape: 1->8 channels on 8x8, 8->16
-// on 4x4), and widths on both sides of each narrow tile.
+// on 4x4), and widths on both sides of each narrow tile. The last row
+// exercises GemmTransB's 8x8 transpose blocks: n and k below 8, not
+// multiples of 8, and exactly 8 or 16, around the conv weight-gradient
+// shapes (16, 72, 16) and (8, 9, 64) above.
 struct Shape {
   int64_t m, n, k;
 };
@@ -31,7 +36,9 @@ const Shape kShapes[] = {
     {16, 64, 8},  {17, 70, 40}, {5, 2, 0},    {64, 48, 96}, {16, 16, 72},
     {8, 64, 9},   {8, 9, 64},   {9, 64, 8},   {72, 16, 16}, {16, 72, 16},
     {16, 8, 5},   {16, 15, 5},  {17, 16, 5},  {16, 17, 5},  {8, 24, 5},
-    {9, 40, 5},   {16, 56, 5},  {8, 72, 5},   {24, 13, 0}};
+    {9, 40, 5},   {16, 56, 5},  {8, 72, 5},   {24, 13, 0},  {4, 3, 7},
+    {8, 7, 8},    {8, 8, 7},    {16, 8, 8},   {8, 13, 11},  {16, 71, 17},
+    {16, 73, 15}, {8, 10, 63},  {3, 16, 16},  {16, 64, 10}};
 
 TEST(KernelsTest, GemmMatchesReferenceExactly) {
   Rng rng(101);
@@ -252,6 +259,95 @@ TEST(KernelsTest, BiasAndSumHelpers) {
   std::vector<float> rowsum(2, 1000.0f);
   kernels::RowSumsAccum(y.data(), 2, 3, rowsum.data());
   EXPECT_EQ(rowsum, (std::vector<float>{1036.0f, 1069.0f}));
+}
+
+// -- 2x2 max pooling ---------------------------------------------------------
+
+// [planes, height, width] cases for MaxPool2x2 against its reference:
+// silo_convnet's two pools (16 images of 8 channels at 8x8, of 16 at 4x4),
+// both vector widths with window counts that leave 4 or 6 windows to the
+// scalar tail, runs that straddle row pairs (width 24), odd heights on a
+// vector width, odd widths, and 1-wide and 1-high planes (no windows).
+struct PoolShape {
+  int64_t planes, height, width;
+};
+const PoolShape kPoolShapes[] = {
+    {128, 8, 8}, {256, 4, 4}, {3, 4, 4},  {7, 4, 4},  {3, 6, 8},
+    {5, 2, 8},   {3, 2, 24},  {2, 6, 16}, {3, 5, 8},  {5, 7, 4},
+    {3, 5, 7},   {2, 9, 8},   {1, 8, 9},  {4, 6, 1},  {4, 1, 6},
+    {2, 2, 2},   {3, 3, 3},   {6, 4, 6},  {2, 10, 12}, {1, 2, 64}};
+
+// Values that decide ties and non-finite handling: ReLU-style zeros (most
+// windows tie), both zeros, repeated values, NaN and both infinities.
+std::vector<float> PoolInput(int64_t n, Rng* rng) {
+  const float kSpecial[] = {0.0f,
+                            -0.0f,
+                            1.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    const int64_t pick = rng->UniformInt(0, 9);
+    x = pick < 6 ? kSpecial[pick]
+                 : std::max(0.0f, static_cast<float>(rng->Normal()));
+  }
+  return v;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(KernelsTest, MaxPool2x2MatchesReferenceExactly) {
+  Rng rng(109);
+  for (const PoolShape& s : kPoolShapes) {
+    const std::vector<float> x = PoolInput(s.planes * s.height * s.width, &rng);
+    const int64_t outputs = s.planes * (s.height / 2) * (s.width / 2);
+    std::vector<float> y(outputs, -7.0f), y_ref(outputs, 7.0f);
+    std::vector<int64_t> arg(outputs, -1), arg_ref(outputs, -2);
+    kernels::MaxPool2x2(x.data(), s.planes, s.height, s.width, y.data(),
+                        arg.data());
+    kernels::MaxPool2x2Reference(x.data(), s.planes, s.height, s.width,
+                                 y_ref.data(), arg_ref.data());
+    EXPECT_TRUE(SameBits(y, y_ref)) << s.planes << "x" << s.height << "x"
+                                    << s.width;
+    EXPECT_EQ(arg, arg_ref) << s.planes << "x" << s.height << "x" << s.width;
+  }
+}
+
+TEST(KernelsTest, MaxPool2x2TiesNaNAndZerosFollowVisitOrder) {
+  // Eight 2x2 windows in one 2x16 plane: one vector step. Window i holds
+  // x[2i], x[2i+1] on the top row and x[16+2i], x[16+2i+1] below.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float top[16] = {0.0f, 0.0f,  -0.0f, 0.0f, nan,  5.0f, 1.0f, nan,
+                         2.0f, 2.0f,  -inf,  -inf, inf,  inf,  0.0f, -1.0f};
+  const float bottom[16] = {0.0f, 0.0f, 0.0f, 0.0f, 9.0f, 9.0f, 1.0f, 3.0f,
+                            2.0f, 2.0f, -inf, -inf, 1.0f, inf,  nan,  4.0f};
+  std::vector<float> x(top, top + 16);
+  x.insert(x.end(), bottom, bottom + 16);
+  std::vector<float> y(8);
+  std::vector<int64_t> arg(8);
+  kernels::MaxPool2x2(x.data(), 1, 2, 16, y.data(), arg.data());
+  // All-zero tie: the first element. -0 first: +0 is not greater, so -0
+  // stays. NaN first: nothing compares greater, NaN stays. NaN later:
+  // never taken (3 beats 1). Equal 2s: the earliest. All -inf: the first.
+  // inf tie: the first. NaN in slot (1,0) is skipped; 4 wins.
+  const std::vector<int64_t> want_arg = {0, 2, 4, 23, 8, 10, 12, 31};
+  EXPECT_EQ(arg, want_arg);
+  EXPECT_TRUE(std::signbit(y[1]));
+  EXPECT_TRUE(std::isnan(y[2]));
+  EXPECT_EQ(y[3], 3.0f);
+  EXPECT_EQ(y[7], 4.0f);
+  std::vector<float> y_ref(8);
+  std::vector<int64_t> arg_ref(8);
+  kernels::MaxPool2x2Reference(x.data(), 1, 2, 16, y_ref.data(),
+                               arg_ref.data());
+  EXPECT_TRUE(SameBits(y, y_ref));
+  EXPECT_EQ(arg, arg_ref);
 }
 
 // The Tensor-level ops route through the kernels; sanity-check one known
