@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "fedscope/comm/channel.h"
@@ -14,6 +15,7 @@
 #include "fedscope/core/aggregator.h"
 #include "fedscope/core/checkpoint.h"
 #include "fedscope/core/trainer.h"
+#include "fedscope/exec/worker_pool.h"
 #include "fedscope/nn/loss.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/obs/obs_context.h"
@@ -162,21 +164,34 @@ void BM_ConvNet2TrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvNet2TrainStep);
 
-// Server-side evaluation of silo_convnet's ConvNet2 on a 512-image test set.
-void BM_EvaluateClassifier(benchmark::State& state) {
-  const int64_t rows = state.range(0);
+// Server-side evaluation of silo_convnet's ConvNet2 on a `rows`-image test
+// set, serial or fanned out over a published pool of `threads` workers (the
+// pool FedRunner publishes around the server's evaluator).
+void EvaluateConvNet2(benchmark::State& state, int64_t rows, int threads) {
   Rng rng(5);
   Model model = MakeConvNet2(1, 8, 10, 64, 0.0, &rng);
   Dataset test;
   test.x = Tensor::Randn({rows, 1, 8, 8}, &rng);
   test.labels.resize(rows);
   for (auto& label : test.labels) label = rng.UniformInt(0, 9);
+  std::unique_ptr<WorkerPool> pool;
+  if (threads > 0) pool = std::make_unique<WorkerPool>(threads);
+  WorkerPool::ScopedCurrent scope(pool.get());
   for (auto _ : state) {
     benchmark::DoNotOptimize(EvaluateClassifier(&model, test));
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
+
+void BM_EvaluateClassifier(benchmark::State& state) {
+  EvaluateConvNet2(state, state.range(0), /*threads=*/0);
+}
 BENCHMARK(BM_EvaluateClassifier)->Arg(512);
+
+void BM_EvaluateClassifierPooled(benchmark::State& state) {
+  EvaluateConvNet2(state, state.range(0), static_cast<int>(state.range(1)));
+}
+BENCHMARK(BM_EvaluateClassifierPooled)->Args({512, 2})->UseRealTime();
 
 void BM_MessageEncode(benchmark::State& state) {
   Message msg;

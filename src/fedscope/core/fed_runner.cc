@@ -166,13 +166,20 @@ std::unique_ptr<Server> FedRunner::MakeServer() {
   auto server = std::make_unique<Server>(server_options, job_.init_model,
                                          job_.aggregator_factory(),
                                          worker_channel_);
-  if (job_.evaluator) {
-    server->set_evaluator(job_.evaluator);
-  } else {
+  std::function<EvalResult(Model*)> evaluate = job_.evaluator;
+  if (!evaluate) {
     const Dataset* test = &job_.provider->server_test();
-    server->set_evaluator(
-        [test](Model* model) { return EvaluateClassifier(model, *test); });
+    evaluate = [test](Model* model) {
+      return EvaluateClassifier(model, *test);
+    };
   }
+  // The server evaluates on the pump thread, between pool batches, so the
+  // evaluator may fan out over the course's pool (DESIGN.md §12). pool_ is
+  // read per call: Run creates it after the first MakeServer.
+  server->set_evaluator([this, evaluate = std::move(evaluate)](Model* model) {
+    WorkerPool::ScopedCurrent scope(pool_.get());
+    return evaluate(model);
+  });
   return server;
 }
 

@@ -1,8 +1,10 @@
 #include "fedscope/core/trainer.h"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
+#include "fedscope/exec/worker_pool.h"
 #include "fedscope/util/logging.h"
 
 namespace fedscope {
@@ -11,6 +13,66 @@ namespace {
 // Rows per forward pass in EvaluateClassifier. A 512-image ConvNet2 pass in
 // one piece moves about 1 MB of activations, which falls out of L2.
 constexpr int64_t kEvalChunkRows = 32;
+
+// Eval-mode logits of rows [begin, end) of x, one forward per 32-row chunk
+// counted from `begin`. Eval-mode layers are row-independent (BatchNorm
+// reads its running stats, Dropout is the identity), so chunked forwards
+// produce the same logits bit for bit while each chunk's activations stay
+// in cache.
+Tensor ForwardRows(Model* model, const Tensor& x, int64_t begin,
+                   int64_t end) {
+  const int64_t row_numel = x.numel() / x.dim(0);
+  std::vector<int64_t> chunk_shape = x.shape();
+  Tensor logits;
+  for (int64_t row = begin; row < end; row += kEvalChunkRows) {
+    const int64_t count = std::min(kEvalChunkRows, end - row);
+    chunk_shape[0] = count;
+    Tensor chunk(chunk_shape);
+    std::copy_n(x.data() + row * row_numel, count * row_numel, chunk.data());
+    const Tensor out = model->Forward(chunk, /*train=*/false);
+    FS_CHECK_EQ(out.ndim(), 2);
+    FS_CHECK_EQ(out.dim(0), count);
+    if (row == begin) logits = Tensor({end - begin, out.dim(1)});
+    std::copy_n(out.data(), out.numel(),
+                logits.data() + (row - begin) * out.dim(1));
+  }
+  return logits;
+}
+
+// ForwardRows over all of x with the `chunks` chunks cut into
+// min(threads, chunks) contiguous parts, one pool task each. Every part
+// but the last runs on a copy of the model made here, before Run: a copy
+// taken inside a task would race with the task forwarding the original.
+// The original runs the last part, so its layer caches end as a serial
+// evaluation leaves them.
+Tensor PooledForwardRows(Model* model, const Tensor& x, int64_t chunks,
+                         WorkerPool* pool) {
+  const int64_t rows = x.dim(0);
+  const int64_t parts =
+      std::min(static_cast<int64_t>(pool->num_threads()), chunks);
+  std::vector<Model> copies(static_cast<size_t>(parts - 1), *model);
+  std::vector<int64_t> bounds(static_cast<size_t>(parts + 1));
+  for (int64_t p = 0; p <= parts; ++p) {
+    bounds[p] = std::min(p * chunks / parts * kEvalChunkRows, rows);
+  }
+  std::vector<Tensor> outs(static_cast<size_t>(parts));
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(static_cast<size_t>(parts));
+  for (int64_t p = 0; p < parts; ++p) {
+    Model* part_model = p + 1 == parts ? model : &copies[p];
+    tasks.push_back([part_model, &x, &bounds, &outs, p] {
+      outs[p] = ForwardRows(part_model, x, bounds[p], bounds[p + 1]);
+    });
+  }
+  pool->Run(&tasks);
+  const int64_t classes = outs[0].dim(1);
+  Tensor logits({rows, classes});
+  for (int64_t p = 0; p < parts; ++p) {
+    std::copy_n(outs[p].data(), outs[p].numel(),
+                logits.data() + bounds[p] * classes);
+  }
+  return logits;
+}
 
 }  // namespace
 
@@ -68,27 +130,14 @@ EvalResult EvaluateClassifier(Model* model, const Dataset& data) {
   EvalResult result;
   result.num_examples = data.size();
   if (data.empty()) return result;
-  // Eval-mode layers are row-independent (BatchNorm reads its running
-  // stats, Dropout is the identity), so chunked forwards produce the same
-  // logits bit for bit while each chunk's activations stay in cache.
   const int64_t rows = data.size();
   FS_CHECK_EQ(data.x.dim(0), rows);
-  const int64_t row_numel = data.x.numel() / rows;
-  std::vector<int64_t> chunk_shape = data.x.shape();
-  Tensor logits;
-  for (int64_t begin = 0; begin < rows; begin += kEvalChunkRows) {
-    const int64_t count = std::min(kEvalChunkRows, rows - begin);
-    chunk_shape[0] = count;
-    Tensor chunk(chunk_shape);
-    std::copy_n(data.x.data() + begin * row_numel, count * row_numel,
-                chunk.data());
-    const Tensor out = model->Forward(chunk, /*train=*/false);
-    FS_CHECK_EQ(out.ndim(), 2);
-    FS_CHECK_EQ(out.dim(0), count);
-    if (begin == 0) logits = Tensor({rows, out.dim(1)});
-    std::copy_n(out.data(), out.numel(),
-                logits.data() + begin * out.dim(1));
-  }
+  const int64_t chunks = (rows + kEvalChunkRows - 1) / kEvalChunkRows;
+  WorkerPool* pool = WorkerPool::Current();
+  const Tensor logits =
+      pool != nullptr && pool->num_threads() >= 2 && chunks >= 2
+          ? PooledForwardRows(model, data.x, chunks, pool)
+          : ForwardRows(model, data.x, 0, rows);
   SoftmaxCrossEntropy loss;
   result.loss = loss.Forward(logits, data.labels);
   result.accuracy = Accuracy(logits, data.labels);

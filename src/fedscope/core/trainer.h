@@ -99,7 +99,13 @@ class GeneralTrainer : public BaseTrainer {
 double SgdStepOnBatch(Model* model, Sgd* optimizer, const Tensor& x,
                       const std::vector<int64_t>& labels);
 
-/// Cross-entropy evaluation used by all built-in trainers.
+/// Cross-entropy evaluation used by all built-in trainers. Runs the eval
+/// forward in 32-row chunks. When the calling thread has a
+/// WorkerPool::Current() of >= 2 threads and the data spans >= 2 chunks,
+/// the chunks are cut into min(threads, chunks) contiguous parts run as
+/// pool tasks, every part but the last on a copy of `model`; the logits
+/// are assembled in chunk order, so loss and accuracy are bit-identical to
+/// the serial loop, and `model` ends in the state the serial loop leaves.
 EvalResult EvaluateClassifier(Model* model, const Dataset& data);
 
 /// Draws `batch_size` example indices with replacement.

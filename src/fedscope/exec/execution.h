@@ -16,7 +16,10 @@ enum class ExecutionBackend {
   /// the serial pop order: ascending insertion sequence within the
   /// timestamp, then each delivery's send sequence. Same-seed runs are
   /// bit-identical to kSerial, including obs exports. Server, aggregator,
-  /// fault-injection, and codec work stays on the pump thread.
+  /// fault-injection, and codec work stays on the pump thread; only the
+  /// server's evaluator runs with the pool published as
+  /// WorkerPool::Current(), so EvaluateClassifier fans its chunks out over
+  /// it, with every float unchanged.
   kThreaded,
 };
 

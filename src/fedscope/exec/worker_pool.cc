@@ -3,6 +3,20 @@
 #include "fedscope/util/logging.h"
 
 namespace fedscope {
+namespace {
+
+thread_local WorkerPool* current_pool = nullptr;
+
+}  // namespace
+
+WorkerPool* WorkerPool::Current() { return current_pool; }
+
+WorkerPool::ScopedCurrent::ScopedCurrent(WorkerPool* pool)
+    : previous_(current_pool) {
+  current_pool = pool;
+}
+
+WorkerPool::ScopedCurrent::~ScopedCurrent() { current_pool = previous_; }
 
 WorkerPool::WorkerPool(int num_threads) {
   FS_CHECK_GE(num_threads, 1);

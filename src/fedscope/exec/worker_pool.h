@@ -16,6 +16,12 @@ namespace fedscope {
 /// canonical order after Run returns. Run provides the happens-before
 /// edge — every effect of every task is visible to the caller once Run
 /// returns, and no task runs outside a Run call.
+///
+/// A thread may also publish a pool as its Current() for a scope, so code
+/// deep in a call chain (EvaluateClassifier under a user evaluator hook)
+/// can fan out without the pool being threaded through every signature.
+/// Current() is thread-local and null by default: a pool's own workers
+/// never see one, so a task cannot re-enter Run.
 class WorkerPool {
  public:
   /// Spawns `num_threads` workers (must be >= 1).
@@ -31,6 +37,26 @@ class WorkerPool {
   /// are claimed by ascending index; `tasks` is borrowed for the duration
   /// of the call. Not reentrant (single batch in flight).
   void Run(std::vector<std::function<void()>>* tasks);
+
+  /// The pool the calling thread may fan work out to, or null when no
+  /// ScopedCurrent is open on this thread.
+  static WorkerPool* Current();
+
+  /// Makes `pool` (which may be null) the calling thread's Current() for
+  /// its lifetime and restores the previous one on destruction, so scopes
+  /// nest. Open it only on a thread that is not itself running a task of
+  /// `pool`.
+  class ScopedCurrent {
+   public:
+    explicit ScopedCurrent(WorkerPool* pool);
+    ~ScopedCurrent();
+
+    ScopedCurrent(const ScopedCurrent&) = delete;
+    ScopedCurrent& operator=(const ScopedCurrent&) = delete;
+
+   private:
+    WorkerPool* previous_;
+  };
 
  private:
   void WorkerLoop();

@@ -30,9 +30,12 @@ namespace kernels {
 // Callers above these kernels keep the contract too: Conv2d reuses its
 // forward's columns in Backward, and EvaluateClassifier runs its forward in
 // 32-row chunks (eval-mode layers are row-independent), both bit-identical
-// to lowering again and to one whole-set forward. Model::Backward stops at
-// the first layer with parameters, whose parameter gradients are the same
-// floats a full backward accumulates.
+// to lowering again and to one whole-set forward. Under a published worker
+// pool those chunks run on several threads, each on its own model copy with
+// its own thread_local pack buffers; a chunk's floats do not depend on the
+// thread that computes it. Model::Backward stops at the first layer with
+// parameters, whose parameter gradients are the same floats a full backward
+// accumulates.
 // ---------------------------------------------------------------------------
 
 /// c += a @ b. a: [m, k] row-major, b: [k, n] row-major, c: [m, n] row-major.

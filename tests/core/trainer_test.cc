@@ -1,11 +1,15 @@
 #include "fedscope/core/trainer.h"
 
+#include <bit>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fedscope/exec/worker_pool.h"
 #include "fedscope/nn/loss.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/nn/model.h"
@@ -199,6 +203,85 @@ TEST(EvaluateClassifierTest, ChunkedEvaluationMatchesWholeSetForward) {
       EXPECT_EQ(got.num_examples, size) << c.name;
       EXPECT_EQ(got.loss, want_loss) << c.name << " size " << size;
       EXPECT_EQ(got.accuracy, want_accuracy) << c.name << " size " << size;
+    }
+  }
+}
+
+// EvaluateClassifier under a published pool (DESIGN.md §12) against the
+// serial chunk loop: the same loss and accuracy bits for every pool width,
+// model family and row count, and a model that trains on afterwards as if
+// the evaluation had run serially.
+TEST(EvaluateClassifierPoolTest, PooledEvaluationMatchesSerialBits) {
+  struct EvalCase {
+    std::string name;
+    std::function<Model(Rng*)> build;
+    std::vector<int64_t> row_shape;
+    int64_t classes;
+  };
+  const EvalCase cases[] = {
+      {"convnet2",
+       [](Rng* r) { return MakeConvNet2(1, 8, 10, 16, 0.0, r); },
+       {1, 8, 8},
+       10},
+      {"flatten_mlp",
+       [](Rng* r) {
+         Model m;
+         m.Add("flat", std::make_unique<Flatten>());
+         m.Add("fc1", std::make_unique<Linear>(2 * 4 * 4, 16, r));
+         m.Add("relu", std::make_unique<ReLU>());
+         m.Add("fc2", std::make_unique<Linear>(16, 6, r));
+         return m;
+       },
+       {2, 4, 4},
+       6},
+      {"mlp_batchnorm",
+       [](Rng* r) { return MakeMlpBn({12, 16, 16, 5}, r); },
+       {12},
+       5},
+      {"convnet2_dropout",
+       [](Rng* r) { return MakeConvNet2(1, 8, 10, 16, 0.5, r); },
+       {1, 8, 8},
+       10},
+  };
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  WorkerPool pools[] = {WorkerPool(1), WorkerPool(2), WorkerPool(3),
+                        WorkerPool(5)};
+  TrainConfig config;
+  config.local_steps = 3;
+  config.batch_size = 16;
+  for (const EvalCase& c : cases) {
+    Rng rng(41);
+    Model model = c.build(&rng);
+    // Leave BatchNorm's running stats away from their initial values.
+    GeneralTrainer().Train(&model, RandomSet(64, c.row_shape, c.classes, &rng),
+                           config, &rng);
+    const Dataset batch = RandomSet(16, c.row_shape, c.classes, &rng);
+    for (int64_t size : {1, 31, 32, 33, 100, 512}) {
+      const Dataset test = RandomSet(size, c.row_shape, c.classes, &rng);
+      Model serial_model = model;
+      const EvalResult want = EvaluateClassifier(&serial_model, test);
+      Sgd serial_sgd(SgdOptions{});
+      const double want_step = SgdStepOnBatch(&serial_model, &serial_sgd,
+                                              batch.x, batch.labels);
+      for (WorkerPool& pool : pools) {
+        SCOPED_TRACE(c.name + " size " + std::to_string(size) + " threads " +
+                     std::to_string(pool.num_threads()));
+        Model pooled_model = model;
+        EvalResult got;
+        {
+          WorkerPool::ScopedCurrent scope(&pool);
+          got = EvaluateClassifier(&pooled_model, test);
+        }
+        EXPECT_EQ(got.num_examples, size);
+        EXPECT_EQ(bits(got.loss), bits(want.loss));
+        EXPECT_EQ(bits(got.accuracy), bits(want.accuracy));
+        Sgd sgd(SgdOptions{});
+        const double step =
+            SgdStepOnBatch(&pooled_model, &sgd, batch.x, batch.labels);
+        EXPECT_EQ(bits(step), bits(want_step));
+        EXPECT_TRUE(pooled_model.GetStateDict() ==
+                    serial_model.GetStateDict());
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fedscope/core/fed_runner.h"
@@ -53,6 +54,35 @@ TEST(WorkerPoolTest, SingleThreadPoolWorks) {
   for (int i = 1; i <= 4; ++i) tasks.push_back([&sum, i] { sum += i; });
   pool.Run(&tasks);
   EXPECT_EQ(sum, 10);
+}
+
+TEST(WorkerPoolTest, CurrentIsScopedNestsAndIsNullInsideTasks) {
+  WorkerPool outer(2);
+  WorkerPool inner(3);
+  EXPECT_EQ(WorkerPool::Current(), nullptr);
+  {
+    WorkerPool::ScopedCurrent outer_scope(&outer);
+    EXPECT_EQ(WorkerPool::Current(), &outer);
+    {
+      WorkerPool::ScopedCurrent inner_scope(&inner);
+      EXPECT_EQ(WorkerPool::Current(), &inner);
+      {
+        WorkerPool::ScopedCurrent none(nullptr);
+        EXPECT_EQ(WorkerPool::Current(), nullptr);
+      }
+      EXPECT_EQ(WorkerPool::Current(), &inner);
+    }
+    EXPECT_EQ(WorkerPool::Current(), &outer);
+    // The scope is the calling thread's alone: the pool's workers see none.
+    std::vector<WorkerPool*> seen(8, &outer);
+    std::vector<std::function<void()>> tasks;
+    for (size_t i = 0; i < seen.size(); ++i) {
+      tasks.push_back([&seen, i] { seen[i] = WorkerPool::Current(); });
+    }
+    outer.Run(&tasks);
+    for (WorkerPool* pool : seen) EXPECT_EQ(pool, nullptr);
+  }
+  EXPECT_EQ(WorkerPool::Current(), nullptr);
 }
 
 TEST(BufferingChannelTest, PassthroughOutsideCaptureBufferInside) {
@@ -202,6 +232,61 @@ TEST(ParallelExecTest, CrashDrillMatchesSerialUnderThreadedBackend) {
   RunResult serial = FedRunner(crashing(0)).Run();
   RunResult threaded = FedRunner(crashing(4)).Run();
   ExpectSameRun(serial, threaded);
+}
+
+// -- server evaluation fans out; client evaluation does not ----------------
+
+// A GeneralTrainer whose Evaluate counts its calls, the calls made off the
+// pump thread (inside pool tasks), and the calls that found a published
+// pool, which client evaluation never may.
+struct EvalProbe {
+  std::thread::id pump = std::this_thread::get_id();
+  std::atomic<int> calls{0};
+  std::atomic<int> off_pump{0};
+  std::atomic<int> pooled{0};
+};
+
+class PoolProbeTrainer : public GeneralTrainer {
+ public:
+  explicit PoolProbeTrainer(EvalProbe* probe) : probe_(probe) {}
+  EvalResult Evaluate(Model* model, const Dataset& data) override {
+    ++probe_->calls;
+    if (std::this_thread::get_id() != probe_->pump) ++probe_->off_pump;
+    if (WorkerPool::Current() != nullptr) ++probe_->pooled;
+    return GeneralTrainer::Evaluate(model, data);
+  }
+
+ private:
+  EvalProbe* probe_;
+};
+
+TEST(ParallelExecTest, ServerEvaluatorSeesCoursePoolClientsSeeNone) {
+  FedDataset data = SmallData();
+  for (int threads : {0, 2, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FedJob job = threads > 0 ? ThreadedJob(&data, threads) : SmallJob(&data);
+    // Clients evaluate their validation split around every local training,
+    // which the threaded backend runs in pool tasks; zero jitter lands
+    // whole cohorts at one virtual instant, so the batches are wide.
+    job.client.perf_drop_threshold = 1.0;
+    job.client.jitter_sigma = 0.0;
+    EvalProbe probe;
+    job.trainer_factory = [&probe](int) {
+      return std::make_unique<PoolProbeTrainer>(&probe);
+    };
+    std::vector<int> widths;  // server side: pump thread only
+    job.evaluator = [&data, &widths](Model* model) {
+      WorkerPool* pool = WorkerPool::Current();
+      widths.push_back(pool == nullptr ? 0 : pool->num_threads());
+      return EvaluateClassifier(model, data.server_test);
+    };
+    FedRunner(std::move(job)).Run();
+    ASSERT_FALSE(widths.empty());
+    for (int width : widths) EXPECT_EQ(width, threads);
+    EXPECT_GT(probe.calls.load(), 0);
+    if (threads > 0) EXPECT_GT(probe.off_pump.load(), 0);
+    EXPECT_EQ(probe.pooled.load(), 0);
+  }
 }
 
 // -- satellite: tap ordering under the threaded backend ---------------------
